@@ -13,7 +13,6 @@ from .graphs import (
     InvalidVertexError,
     ball,
     caterpillar_graph,
-    cayley_graph,
     cycle_graph,
     direct_product,
     end_estimate,
@@ -24,14 +23,12 @@ from .graphs import (
     k_fuzz,
     lamplighter,
     line_graph,
-    pairwise_distance,
     path_graph,
 )
 from .descriptors import DescriptorError, parse_descriptor
 from .potential import (
     DirichletProblem,
     DisconnectedInteriorError,
-    EdgeFunction,
     NonConvergenceError,
     SolverError,
     VertexFunction,
@@ -84,12 +81,11 @@ __all__ = [
     "IntPoint", "LampKey", "PairKey", "WordKey", "format_key",
     "BudgetExceededError", "DEFAULT_VERTEX_BUDGET", "FiniteGraph",
     "GraphOracle", "InvalidVertexError", "ball", "caterpillar_graph",
-    "cayley_graph", "cycle_graph", "direct_product", "end_estimate",
+    "cycle_graph", "direct_product", "end_estimate",
     "free_group_graph", "graph_distances", "grid_graph", "induced_on",
-    "k_fuzz", "lamplighter", "line_graph", "pairwise_distance",
-    "path_graph",
+    "k_fuzz", "lamplighter", "line_graph", "path_graph",
     "DescriptorError", "parse_descriptor",
-    "DirichletProblem", "DisconnectedInteriorError", "EdgeFunction",
+    "DirichletProblem", "DisconnectedInteriorError",
     "NonConvergenceError", "SolverError", "VertexFunction",
     "annulus_capacity", "gradient", "harmonic_residual",
     "oscillation_probe", "p_energy", "sign_projection", "solve_dirichlet",

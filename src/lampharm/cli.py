@@ -20,14 +20,22 @@ from .descriptors import DescriptorError, parse_descriptor
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
+    FiniteGraph,
     ball,
+    ball_sizes,
+    direct_product,
     edge_list_text,
     end_estimate,
+    free_group_graph,
     graph_distances,
+    grid_graph,
+    lamplighter,
+    line_graph,
+    path_graph,
     vertex_table_text,
 )
 from .isoperimetry import default_family, growth_exponent, iso_profile
-from .keys import format_key
+from .keys import IntPoint, format_key
 from .potential import (
     DirichletProblem,
     NonConvergenceError,
@@ -41,14 +49,6 @@ from .potential import (
 from .report import ExperimentReport, dirichlet_json, fmt_value, write_csv
 from .spanning import find_spanning_line
 from .walks import WalkConfig, liouville_contrast
-from .graphs import (
-    grid_graph,
-    lamplighter,
-    line_graph,
-    path_graph,
-    free_group_graph,
-)
-from .keys import IntPoint
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -116,10 +116,12 @@ def cmd_build_graph(args):
     print(f"family: {G.name}")
     print(f"degree bound: {G.degree_bound}")
     print(f"origin: {format_key(G.origin)}")
-    sizes = []
-    for r in range(1, R + 1):
-        g = ball(G, G.origin, r, budget=budget)
-        sizes.append((r, g.n, g.n_edges()))
+    g = ball(G, G.origin, R, budget=budget)
+    # B_r is the first |B_r| vertices of B_R, and an edge u < v lies in
+    # it iff v does
+    high = g.edges()[:, 1]
+    sizes = [(r, n, int(np.count_nonzero(high < n)))
+             for r, n in enumerate(ball_sizes(g, R)[1:], start=1)]
     print("R |B_R| edges")
     for r, n, m in sizes:
         print(f"{r} {n} {m}")
@@ -128,7 +130,6 @@ def cmd_build_graph(args):
     print(f"end estimate (r={inner}, R={R}): {ends}")
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
-        g = ball(G, G.origin, R, budget=budget)
         epath = os.path.join(args.out_dir, "ball_edges.txt")
         vpath = os.path.join(args.out_dir, "ball_vertices.txt")
         with open(epath, "w") as fh:
@@ -301,8 +302,6 @@ def cmd_isoprofile(args):
 def cmd_spanline(args):
     budget = _resolve_budget(args)
     if args.edge_list is not None:
-        from .graphs import FiniteGraph
-
         edges = []
         n = 0
         with open(args.edge_list) as fh:
@@ -318,18 +317,10 @@ def cmd_spanline(args):
     else:
         desc, G = _load_descriptor(args.descriptor)
         g = ball(G, G.origin, args.radius, budget=budget)
-    limit = g.n + 1 if args.exact else None
-    from . import spanning
-
-    old_limit = spanning.EXACT_LIMIT
-    if limit is not None:
-        spanning.EXACT_LIMIT = limit
-    try:
-        res = find_spanning_line(
-            g, args.k, time_budget=args.time_budget, seed=args.seed
-        )
-    finally:
-        spanning.EXACT_LIMIT = old_limit
+    res = find_spanning_line(
+        g, args.k, time_budget=args.time_budget, seed=args.seed,
+        exact=args.exact,
+    )
     print(f"status: {res.status}")
     if res.line is not None:
         keys = [format_key(g.verts[i]) for i in res.line.order]
@@ -529,8 +520,6 @@ def _reproduce_growth(args):
         "1.0 +/- 0.1",
         est_line.exponent,
     )
-    from .graphs import direct_product
-
     est_prod = growth_exponent(
         direct_product(line_graph(), line_graph()), 15, budget=budget
     )
@@ -551,8 +540,6 @@ def _reproduce_growth(args):
         est_lamp.superpolynomial,
     )
     # solver closed forms
-    from .graphs import FiniteGraph
-
     g = FiniteGraph.from_edges(
         11, [(i, i + 1) for i in range(10)], boundary=[0, 10]
     )

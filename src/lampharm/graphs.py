@@ -10,7 +10,9 @@ same ball are identical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -235,27 +237,6 @@ def free_group_graph(rank):
     )
 
 
-def cayley_graph(generators, origin, name="cayley", degree_bound=None):
-    """Oracle from a list of group-element actions (key -> key).
-
-    The generator set must be closed under inverses for the oracle to be
-    symmetric; that is the caller's responsibility. Actions fixing a vertex
-    are dropped at that vertex (no self-loops).
-    """
-    if not generators:
-        raise ValueError("empty generator set")
-    gens = list(generators)
-
-    def nbrs(v):
-        out = {g(v) for g in gens}
-        out.discard(v)
-        return sorted(out)
-
-    if degree_bound is None:
-        degree_bound = len(gens)
-    return GraphOracle(nbrs, origin, degree_bound=degree_bound, name=name)
-
-
 # ---------------------------------------------------------------------------
 # combinators
 
@@ -366,24 +347,12 @@ def direct_product(H1, H2):
 
 def k_fuzz(G, k):
     """Graph on the same vertices with edges between vertices at distance
-    <= k in G; neighbors found by truncated BFS from the query vertex."""
+    <= k in G; the neighbors of v are the ball of radius k around v."""
     if k < 1:
         raise ValueError(f"fuzz parameter must be >= 1, got {k}")
 
     def nbrs(v):
-        seen = {v}
-        frontier = [v]
-        out = []
-        for _ in range(k):
-            nxt = []
-            for u in frontier:
-                for w in G.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        out.append(w)
-            frontier = nxt
-        return sorted(out)
+        return sorted(ball(G, v, k).verts[1:])
 
     bound = None
     D = G.degree_bound
@@ -488,40 +457,52 @@ class FiniteGraph:
     """Materialized induced subgraph with boundary marking.
 
     Vertices carry a stable index; `adj` holds per-vertex sorted index
-    lists. Boundary vertices are those at distance exactly `radius` from
-    the center or with an oracle-neighbor outside `verts`; interior
-    vertices therefore have their full degree represented.
+    lists, and `indptr`/`indices` are the same rows as int64 CSR arrays,
+    built on first use. Boundary vertices are those with an
+    oracle-neighbor outside `verts` (and, in a ball, those on the outer
+    sphere); interior vertices therefore have their full degree
+    represented.
     """
 
     verts: list
     adj: list
     boundary_mask: np.ndarray
-    radius: int
-    oracle_id: str = "graph"
-    _edges: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
         return len(self.verts)
 
-    def degree(self, i):
-        return len(self.adj[i])
+    @cached_property
+    def indptr(self):
+        out = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in self.adj], out=out[1:])
+        return out
+
+    @cached_property
+    def indices(self):
+        flat = chain.from_iterable(self.adj)
+        return np.fromiter(flat, dtype=np.int64, count=int(self.indptr[-1]))
+
+    def row_owners(self):
+        """The vertex each entry of `indices` belongs to."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def _edges(self):
+        u, v = self.row_owners(), self.indices
+        keep = u < v
+        return np.stack([u[keep], v[keep]], axis=1)
 
     def edges(self):
         """(m, 2) int array of unordered edges, u < v, lexicographic.
-        This fixed enumeration is the EdgeFunction index space."""
-        if self._edges is None:
-            pairs = [
-                (u, v) for u in range(self.n) for v in self.adj[u] if u < v
-            ]
-            self._edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        This fixed enumeration is the index space of `gradient`."""
         return self._edges
 
     def n_edges(self):
         return len(self.edges())
 
     @classmethod
-    def from_edges(cls, n, edges, boundary=(), verts=None, oracle_id="custom"):
+    def from_edges(cls, n, edges, boundary=(), verts=None):
         """Build directly from an undirected edge list (test/CLI input).
         Self-loops are rejected; duplicates collapse."""
         adj = [set() for _ in range(n)]
@@ -537,20 +518,24 @@ class FiniteGraph:
             mask[b] = True
         if verts is None:
             verts = [IntPoint((i,)) for i in range(n)]
-        return cls(
-            verts=list(verts),
-            adj=[sorted(s) for s in adj],
-            boundary_mask=mask,
-            radius=-1,
-            oracle_id=oracle_id,
-        )
+        return cls(list(verts), [sorted(s) for s in adj], mask)
+
+
+def _index_row(index, nbrs):
+    """Sorted indices of the oracle neighbors `nbrs` that `index` holds."""
+    return sorted(j for j in map(index.get, nbrs) if j is not None)
 
 
 def ball(G, center, R, budget=None):
     """Induced subgraph on {v : d(center, v) <= R}; vertex 0 is the center.
 
-    BFS expands neighbor lists in sorted order, so the vertex indexing is
-    canonical. Raises BudgetExceededError once more than `budget` vertices
+    One BFS pass calls G.neighbors once per vertex: the list both
+    discovers new vertices (below radius R) and, once every vertex at
+    distance <= R is known, gives the vertex's row. Neighbor lists are
+    expanded in sorted order, so the vertex indexing is canonical, and
+    B_r for r < R is the prefix of the vertices at distance <= r. The
+    boundary is the sphere d == R: closer vertices have every neighbor
+    inside. Raises BudgetExceededError once more than `budget` vertices
     are discovered (default DEFAULT_VERTEX_BUDGET).
     """
     if R < 0:
@@ -560,104 +545,64 @@ def ball(G, center, R, budget=None):
     index = {center: 0}
     verts = [center]
     dist = [0]
-    q = deque([center])
-    while q:
-        v = q.popleft()
-        dv = dist[index[v]]
-        if dv == R:
-            continue
-        for w in G.neighbors(v):
-            if w not in index:
-                if len(verts) >= budget:
-                    raise BudgetExceededError(len(verts), budget)
-                index[w] = len(verts)
-                verts.append(w)
-                dist.append(dv + 1)
-                q.append(w)
-
-    n = len(verts)
     adj = []
-    mask = np.zeros(n, dtype=bool)
-    for i, v in enumerate(verts):
-        row = []
-        outside = False
-        for w in G.neighbors(v):
-            j = index.get(w)
-            if j is None:
-                outside = True
-            else:
-                row.append(j)
-        adj.append(sorted(row))
-        mask[i] = outside or dist[i] == R
-    return FiniteGraph(
-        verts=verts,
-        adj=adj,
-        boundary_mask=mask,
-        radius=R,
-        oracle_id=G.name,
-    )
+    # verts grows while it is walked: it is the BFS queue
+    for v, dv in zip(verts, dist):
+        nbrs = G.neighbors(v)
+        if dv < R:
+            for w in nbrs:
+                if w not in index:
+                    if len(verts) >= budget:
+                        raise BudgetExceededError(len(verts), budget)
+                    index[w] = len(verts)
+                    verts.append(w)
+                    dist.append(dv + 1)
+        adj.append(_index_row(index, nbrs))
+    return FiniteGraph(verts, adj, np.array(dist) == R)
 
 
 def induced_on(G, verts):
     """Induced FiniteGraph on an explicit vertex list of oracle G.
     Boundary = vertices with an oracle-neighbor outside the list."""
     index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
     adj = []
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(len(verts), dtype=bool)
     for i, v in enumerate(verts):
-        row = []
-        outside = False
-        for w in G.neighbors(v):
-            j = index.get(w)
-            if j is None:
-                outside = True
-            else:
-                row.append(j)
-        adj.append(sorted(row))
-        mask[i] = outside
-    return FiniteGraph(
-        verts=list(verts),
-        adj=adj,
-        boundary_mask=mask,
-        radius=-1,
-        oracle_id=G.name,
-    )
+        nbrs = G.neighbors(v)
+        adj.append(_index_row(index, nbrs))
+        mask[i] = len(adj[i]) < len(nbrs)
+    return FiniteGraph(list(verts), adj, mask)
 
 
-def graph_distances(g, source=0):
-    """BFS distances from a vertex index; unreachable vertices get -1."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
+def graph_distances(g, sources=0, cutoff=None, allowed=None):
+    """BFS distances in a FiniteGraph from one vertex index or several.
+
+    The search expands no vertex at distance `cutoff` and enters only
+    vertices where the boolean mask `allowed` is set (sources always
+    count). Vertices it does not reach get -1.
+    """
+    dist = dict.fromkeys(np.atleast_1d(sources).tolist(), 0)
+    q = deque(dist)
     while q:
         u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
-def pairwise_distance(g, u, v, cutoff=None):
-    """BFS distance between two indices of a FiniteGraph; -1 if separated
-    (or farther than `cutoff`)."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    q = deque([u])
-    while q:
-        a = q.popleft()
-        da = dist[a]
-        if cutoff is not None and da >= cutoff:
+        du = dist[u] + 1
+        if cutoff is not None and du > cutoff:
             continue
-        for w in g.adj[a]:
-            if w not in dist:
-                if w == v:
-                    return da + 1
-                dist[w] = da + 1
+        for w in g.adj[u]:
+            if w not in dist and (allowed is None or allowed[w]):
+                dist[w] = du
                 q.append(w)
-    return -1
+    out = np.full(g.n, -1, dtype=np.int64)
+    out[np.fromiter(dist, dtype=np.int64, count=len(dist))] = list(
+        dist.values())
+    return out
+
+
+def ball_sizes(g, R):
+    """|B_r| for r = 0..R, read off g = B_R: the vertices within
+    distance r of the center are its first |B_r| indices."""
+    dist = graph_distances(g, 0)
+    return np.cumsum(np.bincount(dist, minlength=R + 1)).tolist()
 
 
 def end_estimate(G, r, R, budget=None):
@@ -673,27 +618,13 @@ def end_estimate(G, r, R, budget=None):
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     g = ball(G, G.origin, R, budget=budget)
     dist = graph_distances(g, 0)
-    in_shell = dist > r
-    comp = np.full(g.n, -1, dtype=np.int64)
-    n_comp = 0
+    shell = dist > r
+    unseen = dist == R
     touching = 0
-    for s in range(g.n):
-        if not in_shell[s] or comp[s] >= 0:
-            continue
-        comp[s] = n_comp
-        q = deque([s])
-        reaches = dist[s] == R
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if in_shell[w] and comp[w] < 0:
-                    comp[w] = n_comp
-                    if dist[w] == R:
-                        reaches = True
-                    q.append(w)
-        if reaches or dist[s] == R:
+    for s in np.flatnonzero(unseen).tolist():
+        if unseen[s]:
+            unseen &= graph_distances(g, s, allowed=shell) < 0
             touching += 1
-        n_comp += 1
     return touching
 
 

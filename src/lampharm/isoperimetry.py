@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, GraphOracle, ball
+from .graphs import FiniteGraph, GraphOracle, ball, ball_sizes
 
 
 @dataclass
@@ -36,20 +35,13 @@ def edge_boundary(g, F):
     indices and only materialized edges count (cut edges leaving the
     materialized region are not represented there).
     """
-    Fset = set(F)
-    count = 0
     if isinstance(g, GraphOracle):
-        for v in Fset:
-            for w in g.neighbors(v):
-                if w not in Fset:
-                    count += 1
-        return count
+        Fset = set(F)
+        return sum(w not in Fset for v in Fset for w in g.neighbors(v))
     if isinstance(g, FiniteGraph):
-        for v in Fset:
-            for w in g.adj[v]:
-                if w not in Fset:
-                    count += 1
-        return count
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(F)] = True
+        return int(np.count_nonzero(inside[g.row_owners()] & ~inside[g.indices]))
     raise TypeError(f"expected GraphOracle or FiniteGraph, got {type(g)!r}")
 
 
@@ -106,12 +98,11 @@ def default_family(G, Rmax, seed=0, n_random=12, budget=None):
     """Balls B_1..B_Rmax around the origin plus random connected
     BFS-grown sets seeded inside B_{Rmax/2} with log-spaced sizes."""
     rng = random.Random(seed)
-    family = []
-    for R in range(1, Rmax + 1):
-        family.append(list(ball(G, G.origin, R, budget=budget).verts))
-    largest = family[-1]
-    half = ball(G, G.origin, max(1, Rmax // 2), budget=budget).verts
-    max_size = max(4, len(largest) // 2)
+    g = ball(G, G.origin, Rmax, budget=budget)
+    sizes = ball_sizes(g, Rmax)
+    family = [g.verts[:sizes[R]] for R in range(1, Rmax + 1)]
+    half = g.verts[:sizes[max(1, Rmax // 2)]]
+    max_size = max(4, len(family[-1]) // 2)
     for i in range(n_random):
         t = i / max(1, n_random - 1)
         size = max(2, int(round(4 * (max_size / 4) ** t)))
@@ -163,7 +154,7 @@ def growth_exponent(G, Rmax, budget=None):
     if Rmax < 3:
         raise ValueError(f"Rmax must be >= 3, got {Rmax}")
     radii = list(range(1, Rmax + 1))
-    sizes = [ball(G, G.origin, R, budget=budget).n for R in radii]
+    sizes = ball_sizes(ball(G, G.origin, Rmax, budget=budget), Rmax)[1:]
     lo = max(2, Rmax // 2)
     tail_R = np.array([R for R in radii if R >= lo], float)
     tail_S = np.array([sizes[int(R) - 1] for R in tail_R], float)

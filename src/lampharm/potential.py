@@ -12,8 +12,7 @@ the relative energy decrease drops below tolerance.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ class VertexFunction:
     """Real values indexed like FiniteGraph.verts."""
 
     values: np.ndarray
-    graph_ref: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -38,18 +36,6 @@ class VertexFunction:
             raise ValueError("vertex function must be a flat array")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("vertex function contains non-finite values")
-
-
-@dataclass
-class EdgeFunction:
-    """Real values on the fixed edge enumeration of a FiniteGraph, signed
-    low-index -> high-index."""
-
-    values: np.ndarray
-    graph_ref: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
 
 
 class SolverError(RuntimeError):
@@ -82,12 +68,11 @@ def as_values(f, g=None):
 
 
 def gradient(f, g):
-    """Per-edge difference f(high) - f(low) under the fixed enumeration."""
+    """Per-edge difference f(high) - f(low) as an array over the fixed
+    enumeration g.edges()."""
     vals = as_values(f, g)
     e = g.edges()
-    if len(e) == 0:
-        return EdgeFunction(np.zeros(0), g.oracle_id)
-    return EdgeFunction(vals[e[:, 1]] - vals[e[:, 0]], g.oracle_id)
+    return vals[e[:, 1]] - vals[e[:, 0]]
 
 
 def p_energy(f, g, p):
@@ -106,15 +91,12 @@ def p_energy(f, g, p):
 def harmonic_residual(f, g):
     """Max over interior vertices of |f(v) - mean of neighbor values|."""
     vals = as_values(f, g)
-    interior = np.where(~g.boundary_mask)[0]
-    interior = np.array([v for v in interior if len(g.adj[v]) > 0], dtype=int)
+    deg = np.diff(g.indptr)
+    interior = np.flatnonzero(~g.boundary_mask & (deg > 0))
     if len(interior) == 0:
         return 0.0
-    degs = np.array([len(g.adj[v]) for v in interior], dtype=np.int64)
-    cols = np.concatenate([g.adj[v] for v in interior])
-    rows = np.repeat(np.arange(len(interior)), degs)
-    sums = np.bincount(rows, weights=vals[cols], minlength=len(interior))
-    return float(np.max(np.abs(vals[interior] - sums / degs)))
+    sums = np.bincount(g.row_owners(), weights=vals[g.indices], minlength=g.n)
+    return float(np.max(np.abs(vals[interior] - sums[interior] / deg[interior])))
 
 
 @dataclass
@@ -130,22 +112,6 @@ class DirichletProblem:
     p: float = 2.0
     tolerance: float = DEFAULT_TOLERANCE
     max_iters: int = DEFAULT_MAX_ITERS
-
-
-def _check_boundary_reaches_interior(g, interior_mask):
-    seen = ~interior_mask.copy()
-    q = deque(np.where(~interior_mask)[0].tolist())
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                q.append(w)
-    if not seen.all():
-        bad = int(np.where(~seen)[0][0])
-        raise DisconnectedInteriorError(
-            f"interior vertex {bad} has no path to the boundary"
-        )
 
 
 def solve_dirichlet(prob):
@@ -178,40 +144,40 @@ def solve_dirichlet(prob):
         f[i] = v
     interior = np.where(~bmask)[0]
     if len(interior) == 0:
-        return VertexFunction(f, g.oracle_id)
+        return VertexFunction(f)
     if len(bidx) == 0:
         raise DisconnectedInteriorError("graph has no boundary vertices")
-    _check_boundary_reaches_interior(g, ~bmask)
+    unreached = np.flatnonzero(graph_distances(g, bidx) < 0)
+    if len(unreached):
+        raise DisconnectedInteriorError(
+            f"interior vertex {unreached[0]} has no path to the boundary"
+        )
     bvals = f[bidx]
     if bvals.max() == bvals.min():
         # degenerate problem: the constant is the unique minimizer
         f[:] = bvals[0]
-        return VertexFunction(f, g.oracle_id)
+        return VertexFunction(f)
     f[interior] = bvals.mean()
     if p == 2.0:
         _solve_p2_cg(g, f, interior, prob.tolerance, prob.max_iters)
     else:
         _solve_coordinate(g, f, interior, p, prob.tolerance, prob.max_iters)
-    return VertexFunction(f, g.oracle_id)
+    return VertexFunction(f)
 
 
 def _solve_p2_cg(g, f, interior, tol, max_iters):
     n_i = len(interior)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[interior] = np.arange(n_i)
-    rows, cols = [], []
-    b = np.zeros(n_i)
-    degi = np.zeros(n_i)
-    for ii, v in enumerate(interior):
-        degi[ii] = len(g.adj[v])
-        for w in g.adj[v]:
-            if pos[w] >= 0:
-                rows.append(ii)
-                cols.append(pos[w])
-            else:
-                b[ii] += f[w]
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    degi = np.diff(g.indptr)[interior].astype(np.float64)
+    # CSR entries of interior rows, in row order: interior-interior
+    # couplings go to the operator, boundary neighbors to the right side
+    owner = pos[g.row_owners()]
+    mine = owner >= 0
+    owner, nbr = owner[mine], g.indices[mine]
+    coupled = pos[nbr] >= 0
+    rows, cols = owner[coupled], pos[nbr[coupled]]
+    b = np.bincount(owner[~coupled], weights=f[nbr[~coupled]], minlength=n_i)
 
     def apply_A(x):
         y = degi * x
@@ -276,13 +242,12 @@ def _greedy_color(g, interior):
 def _solve_coordinate(g, f, interior, p, tol, max_iters):
     classes = []
     for cls in _greedy_color(g, interior):
-        dmax = max(len(g.adj[v]) for v in cls)
-        nbr = np.zeros((len(cls), dmax), dtype=np.int64)
-        mask = np.zeros((len(cls), dmax), dtype=bool)
-        for row, v in enumerate(cls):
-            a = g.adj[v]
-            nbr[row, : len(a)] = a
-            mask[row, : len(a)] = True
+        start = g.indptr[cls]
+        deg = g.indptr[cls + 1] - start
+        slot = np.arange(deg.max())
+        mask = slot < deg[:, None]
+        nbr = np.zeros(mask.shape, dtype=np.int64)
+        nbr[mask] = g.indices[(start[:, None] + slot)[mask]]
         classes.append((cls, nbr, mask))
 
     e = g.edges()
@@ -343,7 +308,6 @@ def split_by_sign(key):
 
 
 SPLIT_RULES = {"sign": split_by_sign}
-SPLIT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +333,7 @@ def annulus_capacity(
     inner = dist <= r
     outer = g.boundary_mask
     mask = inner | outer
-    g2 = FiniteGraph(g.verts, g.adj, mask, g.radius, g.oracle_id)
+    g2 = replace(g, boundary_mask=mask)
     bvals = {int(i): (1.0 if inner[i] else 0.0) for i in np.where(mask)[0]}
     sol = solve_dirichlet(
         DirichletProblem(g2, bvals, p=p, tolerance=tolerance, max_iters=max_iters)

@@ -10,14 +10,14 @@ heuristic reports timeout, never nonexistence.
 
 from __future__ import annotations
 
+import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graphs import FiniteGraph, GraphOracle, ball, pairwise_distance
+from .graphs import FiniteGraph, GraphOracle, ball, graph_distances
 from .keys import IntPoint
 from .potential import as_values, p_energy
 
@@ -73,29 +73,8 @@ def check_spanning_line(g, line):
     order = list(line.order)
     if sorted(order) != list(range(g.n)):
         return False
-    for u, v in zip(order, order[1:]):
-        d = pairwise_distance(g, u, v, cutoff=line.k)
-        if d < 0:
-            return False
-    return True
-
-
-def _oracle_distance(G, u, v, cutoff):
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = [u]
-    for depth in range(1, cutoff + 1):
-        nxt = []
-        for x in frontier:
-            for w in G.neighbors(x):
-                if w == v:
-                    return depth
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return -1
+    return all(graph_distances(g, u, cutoff=line.k)[v] >= 0
+               for u, v in zip(order, order[1:]))
 
 
 def check_line_rule(G, rule, lo, hi):
@@ -115,13 +94,10 @@ def check_line_rule(G, rule, lo, hi):
         rule.cyclic and hi - lo + 1 > rule.period
     ):
         return False
-    for u, v in zip(keys, keys[1:]):
-        if _oracle_distance(G, u, v, rule.k) < 0:
-            return False
+    pairs = list(zip(keys, keys[1:]))
     if rule.cyclic and hi - lo + 1 >= rule.period:
-        if _oracle_distance(G, rule.at(hi), rule.at(hi + 1), rule.k) < 0:
-            return False
-    return True
+        pairs.append((rule.at(hi), rule.at(hi + 1)))
+    return all(v in ball(G, u, rule.k).verts for u, v in pairs)
 
 
 def builtin_spanning_line(family, n=None):
@@ -180,25 +156,6 @@ class SearchResult:
 
     status: str
     line: Optional[SpanningLine] = None
-
-
-def _fuzz_adjacency(g, k):
-    if k == 1:
-        return [list(a) for a in g.adj]
-    adj = []
-    for s in range(g.n):
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if dist[u] == k:
-                continue
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        adj.append(sorted(w for w in dist if w != s))
-    return adj
 
 
 def _exact_search(adj, deadline):
@@ -266,24 +223,24 @@ def _posa_search(adj, rng, deadline):
     return None
 
 
-def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0):
+def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0,
+                       exact=False):
     """Search for a Hamiltonian path in the k-fuzz of a finite graph.
 
-    Graphs up to 30 vertices use exhaustive backtracking, so absence is
-    proved; larger graphs use rotation-extension with random restarts
-    within the time budget.
+    Graphs up to EXACT_LIMIT vertices, or any graph when `exact` is set,
+    use exhaustive backtracking, so absence is proved; larger graphs use
+    rotation-extension with random restarts within the time budget.
     """
-    import random as _random
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if g.n == 0:
         raise ValueError("empty graph")
     if g.n == 1:
         return SearchResult("found", SpanningLine([0], k))
-    adj = _fuzz_adjacency(g, k)
+    adj = [np.flatnonzero(graph_distances(g, s, cutoff=k) > 0).tolist()
+           for s in range(g.n)]
     deadline = time.monotonic() + time_budget
-    if g.n <= EXACT_LIMIT:
+    if exact or g.n <= EXACT_LIMIT:
         try:
             path = _exact_search(adj, deadline)
         except TimeoutError:
@@ -291,7 +248,7 @@ def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0):
         if path is None:
             return SearchResult("proved_absent")
         return SearchResult("found", SpanningLine(path, k))
-    path = _posa_search(adj, _random.Random(seed), deadline)
+    path = _posa_search(adj, random.Random(seed), deadline)
     if path is None:
         return SearchResult("timeout")
     return SearchResult("found", SpanningLine(path, k))
@@ -337,14 +294,10 @@ def augment_ball(H, H_aug, center, R, k, budget=None):
             j = index.get(w)
             if j is None or j in g.adj[i] or j == i:
                 continue
-            if pairwise_distance(g, i, j, cutoff=k) >= 0:
+            if graph_distances(g, i, cutoff=k)[j] >= 0:
                 adj_aug[i].append(j)
     g_aug = FiniteGraph(
-        verts=g.verts,
-        adj=[sorted(a) for a in adj_aug],
-        boundary_mask=g.boundary_mask.copy(),
-        radius=g.radius,
-        oracle_id=H_aug.name,
+        g.verts, [sorted(a) for a in adj_aug], g.boundary_mask.copy()
     )
     return g, g_aug
 
@@ -378,7 +331,7 @@ def verify_gradient_bound(g, g_aug, f, p, k):
     for u, v in added:
         per_vertex[u] += 1
         per_vertex[v] += 1
-        if pairwise_distance(g, u, v, cutoff=k) < 0:
+        if graph_distances(g, u, cutoff=k)[v] < 0:
             structural_ok = False
     if added and per_vertex.max() > 4:
         structural_ok = False

@@ -171,15 +171,18 @@ def simulate_walks(G, cfg, budget=None):
 def tv_distance(hist_a, hist_b):
     """Total variation between two empirical distributions given as
     count mappings over a common key space: half the L1 gap of the
-    normalized histograms. Always in [0, 1]."""
+    normalized histograms. Always in [0, 1].
+
+    Integer counts give the exact sum |c_a n_b - c_b n_a| / (2 n_a n_b),
+    rounded once, so the result does not depend on the order of the
+    labels (which follows the process's hash seed)."""
     na = sum(hist_a.values())
     nb = sum(hist_b.values())
     if na == 0 or nb == 0:
         raise ValueError("empty histogram")
-    total = 0.0
-    for k in set(hist_a) | set(hist_b):
-        total += abs(hist_a.get(k, 0) / na - hist_b.get(k, 0) / nb)
-    return 0.5 * total
+    gap = sum(abs(hist_a.get(k, 0) * nb - hist_b.get(k, 0) * na)
+              for k in hist_a.keys() | hist_b.keys())
+    return gap / (2 * na * nb)
 
 
 @dataclass

@@ -12,6 +12,7 @@ estimator's noise floor rather than about raw values the estimator
 cannot resolve at desk scale.
 """
 
+import functools
 import random
 import time
 
@@ -46,8 +47,6 @@ from lampharm.spanning import (
     verify_gradient_bound,
 )
 from lampharm.walks import WalkConfig, walk_series
-
-_MAXP_MARGINS = []
 
 
 def _report(num, ok, detail):
@@ -85,20 +84,26 @@ def _dense_reference(g, bvals):
     return np.linalg.solve(A, b)
 
 
-def _tracked_solve(g, bvals, p, tolerance):
+def _tracked_solve(g, bvals, p, tolerance, margins):
+    """Solve, and append the maximum-principle margin of the run to
+    `margins` (criterion 3 counts every solve of criteria 1-3)."""
     sol = solve_dirichlet(DirichletProblem(g, bvals, p=p, tolerance=tolerance))
     interior = ~g.boundary_mask
     if interior.any() and bvals:
         margin = float(
             np.max(sol.values[interior]) - max(bvals.values())
         ) - 10.0 * tolerance
-        _MAXP_MARGINS.append(margin)
+        margins.append(margin)
     return sol
 
 
-def test_criterion_01_iterative_matches_dense_solve():
+@functools.cache
+def _dense_comparison_runs():
+    """Criterion 1's solves: (max-abs gap to the dense solves, runtime,
+    maximum-principle margins)."""
     rng = random.Random(1001)
     nrng = np.random.default_rng(1001)
+    margins = []
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
@@ -106,10 +111,41 @@ def test_criterion_01_iterative_matches_dense_solve():
         bidx = np.where(g.boundary_mask)[0]
         bvals = {int(i): float(v) for i, v in
                  zip(bidx, nrng.normal(size=len(bidx)))}
-        sol = _tracked_solve(g, bvals, 2.0, 1e-12)
+        sol = _tracked_solve(g, bvals, 2.0, 1e-12, margins)
         ref = _dense_reference(g, bvals)
         worst = max(worst, float(np.max(np.abs(sol.values - ref))))
-    dt = time.perf_counter() - t0
+    return worst, time.perf_counter() - t0, tuple(margins)
+
+
+@functools.cache
+def _closed_form_runs():
+    """Criterion 2's solves: (path gap, 4-cycle gap, maximum-principle
+    margins)."""
+    margins = []
+    path = FiniteGraph.from_edges(
+        11, [(i, i + 1) for i in range(10)], boundary=[0, 10]
+    )
+    linear = np.arange(11) / 10.0
+    worst_path = 0.0
+    for p in (1.5, 2.0, 3.0):
+        sol = _tracked_solve(path, {0: 0.0, 10: 1.0}, p, 0.0, margins)
+        worst_path = max(worst_path, float(np.max(np.abs(sol.values - linear))))
+    cyc = FiniteGraph.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)], boundary=[0, 2]
+    )
+    worst_cyc = 0.0
+    for p in (1.5, 2.0, 3.0):
+        sol = _tracked_solve(cyc, {0: 0.0, 2: 1.0}, p, 0.0, margins)
+        worst_cyc = max(
+            worst_cyc,
+            abs(float(sol.values[1]) - 0.5),
+            abs(float(sol.values[3]) - 0.5),
+        )
+    return worst_path, worst_cyc, tuple(margins)
+
+
+def test_criterion_01_iterative_matches_dense_solve():
+    worst, dt, _ = _dense_comparison_runs()
     ok = worst <= 1e-8 and dt < 10.0
     assert _report(
         1, ok,
@@ -119,25 +155,7 @@ def test_criterion_01_iterative_matches_dense_solve():
 
 
 def test_criterion_02_closed_form_solutions():
-    path = FiniteGraph.from_edges(
-        11, [(i, i + 1) for i in range(10)], boundary=[0, 10]
-    )
-    linear = np.arange(11) / 10.0
-    worst_path = 0.0
-    for p in (1.5, 2.0, 3.0):
-        sol = _tracked_solve(path, {0: 0.0, 10: 1.0}, p, 0.0)
-        worst_path = max(worst_path, float(np.max(np.abs(sol.values - linear))))
-    cyc = FiniteGraph.from_edges(
-        4, [(0, 1), (1, 2), (2, 3), (0, 3)], boundary=[0, 2]
-    )
-    worst_cyc = 0.0
-    for p in (1.5, 2.0, 3.0):
-        sol = _tracked_solve(cyc, {0: 0.0, 2: 1.0}, p, 0.0)
-        worst_cyc = max(
-            worst_cyc,
-            abs(float(sol.values[1]) - 0.5),
-            abs(float(sol.values[3]) - 0.5),
-        )
+    worst_path, worst_cyc, _ = _closed_form_runs()
     ok = worst_path <= 1e-8 and worst_cyc <= 1e-8
     assert _report(
         2, ok,
@@ -147,6 +165,7 @@ def test_criterion_02_closed_form_solutions():
 
 
 def test_criterion_03_maximum_principle():
+    margins = [*_dense_comparison_runs()[2], *_closed_form_runs()[2]]
     rng = random.Random(33)
     nrng = np.random.default_rng(33)
     for _ in range(15):
@@ -155,13 +174,13 @@ def test_criterion_03_maximum_principle():
         bvals = {int(i): float(v) for i, v in
                  zip(bidx, nrng.normal(size=len(bidx)))}
         p = rng.choice([1.5, 2.0, 3.0])
-        _tracked_solve(g, bvals, p, 1e-10)
-    violations = sum(1 for m in _MAXP_MARGINS if m > 0)
-    ok = violations == 0 and len(_MAXP_MARGINS) >= 65
+        _tracked_solve(g, bvals, p, 1e-10, margins)
+    violations = sum(1 for m in margins if m > 0)
+    ok = violations == 0 and len(margins) >= 65
     assert _report(
         3, ok,
         f"interior max <= boundary max + 10*tolerance on all "
-        f"{len(_MAXP_MARGINS)} solver runs in this suite, "
+        f"{len(margins)} solver runs in this suite, "
         f"{violations} violations",
     )
 

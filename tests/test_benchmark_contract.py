@@ -1,0 +1,54 @@
+"""The benchmark in perfbench/ reaches into lampharm by name: its tracing
+hooks swap module attributes (graphs.ball, graphs.graph_distances,
+potential.p_energy, ...) and its residual checker reads FiniteGraph.adj.
+This test loads those two perfbench files as they are and runs them
+around one small probe, so renaming a hooked name fails here instead of
+breaking `perfbench/run.py --trace 1`."""
+
+import importlib.util
+import os
+import sys
+
+import lampharm.cli  # noqa: F401  (the hooks wrap cli.main too)
+from lampharm import graphs, potential
+from lampharm.graphs import lamplighter, line_graph, path_graph
+from lampharm.keys import IntPoint
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "perfbench")
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_hooks_and_residual_checker_fit_the_package(monkeypatch):
+    instrument = _load("instrument", monkeypatch)
+    residual = _load("residual", monkeypatch)
+    original_ball = graphs.ball
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    rec, tracer = instrument.Recorder(), instrument.Tracer()
+    with instrument.instrumented(rec, tracer):
+        osc, _ = potential.oscillation_probe(G, G.origin, 4, 2.0,
+                                             inner_radius=2)
+    assert graphs.ball is original_ball
+    assert 0.0 <= osc <= 1.0
+
+    names = {s.name for s in tracer.spans}
+    assert {"potential.probe", "graphs.ball", "graphs.graph_distances",
+            "potential.solve.p2", "potential.p_energy"} <= names
+    (ball_span,) = [s for s in tracer.spans if s.name == "graphs.ball"]
+    assert ball_span.attrs["vertices"] == 44
+    assert ball_span.counts["graphs.neighbors"] == 44
+
+    assert len(rec.solves) == 1
+    for prob, sol in rec.solves:
+        r = residual.p_laplacian_residual(
+            prob.graph.adj, prob.graph.boundary_mask, sol.values, prob.p)
+        assert r <= prob.tolerance

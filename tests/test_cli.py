@@ -184,3 +184,39 @@ def test_version_flag():
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
+
+
+def test_spanline_exact_proves_absence_past_the_exact_limit(tmp_path, capsys):
+    from lampharm import spanning
+
+    elist = tmp_path / "star.txt"  # K_1,31: 32 vertices, over EXACT_LIMIT
+    elist.write_text("".join(f"0 {i}\n" for i in range(1, 32)))
+    code = main(["spanline", "--edge-list", str(elist), "-k", "1", "--exact"])
+    assert code == 1
+    assert "proved_absent" in capsys.readouterr().out
+    assert spanning.EXACT_LIMIT == 30
+
+
+def test_liouville_csv_is_identical_across_hash_seeds(tmp_path):
+    # histogram labels are hashed, so their iteration order follows the
+    # process's hash seed; the TV values must not
+    import subprocess
+    import sys
+
+    import lampharm
+
+    src = os.path.dirname(os.path.dirname(lampharm.__file__))
+    out = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "lampharm.cli", "liouville",
+             "--descriptor-a", '{"family": "line"}',
+             "--descriptor-b", '{"family": "caterpillar"}',
+             "--steps", "60", "--trials", "3000",
+             "--out-dir", str(tmp_path / seed)],
+            env=env, check=True, capture_output=True,
+        )
+        out[seed] = [(tmp_path / seed / f"liouville_{s}.csv").read_bytes()
+                     for s in "ab"]
+    assert out["1"] == out["2"]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -20,7 +21,6 @@ from lampharm.graphs import (
     k_fuzz,
     lamplighter,
     line_graph,
-    pairwise_distance,
     path_graph,
 )
 from lampharm.keys import IntPoint, LampKey, PairKey, WordKey, format_key
@@ -198,8 +198,68 @@ def test_graph_distances_and_pairwise():
     assert sorted(dist.tolist()) == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     i = g.verts.index(IntPoint((-5,)))
     j = g.verts.index(IntPoint((5,)))
-    assert pairwise_distance(g, i, j) == 10
-    assert pairwise_distance(g, i, j, cutoff=4) == -1
+    assert graph_distances(g, i)[j] == 10
+    assert graph_distances(g, i, cutoff=4)[j] == -1
+
+
+def test_ball_calls_neighbors_once_per_vertex():
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return G.neighbors(v)
+
+    g = ball(dataclasses.replace(G, neighbors=counted), G.origin, 10)
+    assert g.n == 1457
+    assert len(calls) == 1457
+    assert calls == g.verts
+
+
+def test_csr_arrays_agree_with_adj():
+    for g in (ball(grid_graph(2), IntPoint((0, 0)), 4),
+              FiniteGraph.from_edges(5, [(0, 3), (3, 1)], boundary=[4])):
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.indptr.tolist() == np.cumsum(
+            [0] + [len(a) for a in g.adj]).tolist()
+        for v in range(g.n):
+            row = g.indices[g.indptr[v]:g.indptr[v + 1]]
+            assert row.tolist() == g.adj[v]
+
+
+def test_induced_on_ball_vertices_keeps_inner_rows():
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    R = 5
+    g = ball(G, G.origin, R)
+    sub = induced_on(G, g.verts)
+    dist = graph_distances(g, 0)
+    assert sub.verts == g.verts
+    for v in np.flatnonzero(dist < R):
+        assert sub.adj[v] == g.adj[v]
+        assert not sub.boundary_mask[v]
+    # on the sphere only the oracle decides: a vertex is boundary iff
+    # one of its neighbors lies outside the ball
+    for v in np.flatnonzero(dist == R):
+        assert sub.boundary_mask[v] == (len(g.adj[v]) < len(G.neighbors(g.verts[v])))
+
+
+def test_graph_distances_sources_cutoff_allowed():
+    # path 0-1-2-3-4, a leaf 5 on vertex 2, an isolated vertex 6
+    g = FiniteGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    assert graph_distances(g).tolist() == [0, 1, 2, 3, 4, 3, -1]
+    assert graph_distances(g, [0, 4]).tolist() == [0, 1, 2, 1, 0, 3, -1]
+    assert graph_distances(g, np.array([0, 4]), cutoff=1).tolist() == [
+        0, 1, -1, 1, 0, -1, -1]
+    assert graph_distances(g, 5, cutoff=2).tolist() == [
+        -1, 2, 1, 2, -1, 0, -1]
+    allowed = np.array([True, True, False, True, True, True, True])
+    assert graph_distances(g, 0, allowed=allowed).tolist() == [
+        0, 1, -1, -1, -1, -1, -1]
+    # a source counts even where `allowed` is unset
+    assert graph_distances(g, 2, allowed=allowed).tolist() == [
+        2, 1, 0, 1, 2, 1, -1]
+    assert graph_distances(g, [2, 6], cutoff=1, allowed=allowed).tolist() == [
+        -1, 1, 0, 1, -1, 1, 0]
 
 
 def test_induced_on_boundary_flags():

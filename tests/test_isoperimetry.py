@@ -139,6 +139,18 @@ def test_growth_exponent_product_additivity():
     assert abs(prod.exponent - grid.exponent) <= 0.2
 
 
+def test_growth_sizes_match_per_radius_balls():
+    for G, Rmax in (
+        (line_graph(), 20),
+        (grid_graph(2), 9),
+        (direct_product(line_graph(), line_graph()), 8),
+        (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), 8),
+    ):
+        est = growth_exponent(G, Rmax)
+        assert est.radii == list(range(max(2, Rmax // 2), Rmax + 1))
+        assert est.sizes == [ball(G, G.origin, R).n for R in est.radii]
+
+
 def test_growth_exponent_rejects_small_rmax():
     with pytest.raises(ValueError):
         growth_exponent(line_graph(), 2)

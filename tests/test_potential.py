@@ -69,7 +69,7 @@ def test_gradient_and_energy_simple():
     g = _path(2)
     f = VertexFunction([0.0, 1.0, 3.0])
     grad = gradient(f, g)
-    assert np.allclose(grad.values, [1.0, 2.0])
+    assert np.allclose(grad, [1.0, 2.0])
     assert p_energy(f, g, 2) == pytest.approx(5.0)
     assert p_energy(f, g, 1) == pytest.approx(3.0)
     assert p_energy(f, g, 1.5) == pytest.approx(1.0 + 2.0**1.5)

@@ -8,6 +8,7 @@ from lampharm.graphs import (
     ball,
     caterpillar_graph,
     cycle_graph,
+    graph_distances,
     lamplighter,
     line_graph,
     path_graph,
@@ -146,14 +147,12 @@ def test_augment_preserves_symmetry_no_loops():
 def test_augment_ball_only_keeps_in_ball_spans():
     G = caterpillar_graph()
     Gp = augment_with_line(G, builtin_spanning_line("caterpillar"))
-    from lampharm.graphs import pairwise_distance
-
     g, g_aug = augment_ball(G, Gp, G.origin, 5, 3)
     assert g.verts == g_aug.verts
     base = set(map(tuple, g.edges().tolist()))
     for u, v in g_aug.edges().tolist():
         if (u, v) not in base:
-            assert 0 <= pairwise_distance(g, u, v, cutoff=3) <= 3
+            assert 0 <= graph_distances(g, u, cutoff=3)[v] <= 3
 
 
 def test_gradient_bound_random_f():
