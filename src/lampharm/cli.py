@@ -21,11 +21,11 @@ from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     FiniteGraph,
+    _ends_of_ball,
     ball,
     ball_sizes,
     direct_product,
     edge_list_text,
-    end_estimate,
     free_group_graph,
     graph_distances,
     grid_graph,
@@ -126,7 +126,7 @@ def cmd_build_graph(args):
     for r, n, m in sizes:
         print(f"{r} {n} {m}")
     inner = max(1, R // 2)
-    ends = end_estimate(G, inner, R, budget=budget)
+    ends = _ends_of_ball(g, inner, R)
     print(f"end estimate (r={inner}, R={R}): {ends}")
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -9,10 +9,8 @@ same ball are identical.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +22,7 @@ from .keys import (
     VertexKey,
     WordKey,
     _raw_lamp,
+    _raw_point,
     _raw_word,
     format_key,
 )
@@ -62,14 +61,16 @@ class GraphOracle:
     neighbor lists; as a set, step_fn(v, .) must agree with neighbors(v).
 
     `walk_encoding` is set only by the family constructors that have an
-    array form of their step_fn (the lamplighter of path(2) over the
-    line, free groups). `walk_encoding(starts, steps)` returns a frame
-    that holds walkers from those starts as numpy arrays for `steps`
-    steps: `spawn(start, n)` makes the state of n walkers at `start`,
-    `move(state, who, u)` moves walker who[j] to its step_fn neighbor
-    number int(u[j] * regular_degree), `labels(state)` gives one bytes
-    label per walker, equal for two walkers iff they stand on the same
-    vertex, and `row_bytes` is the state's size per walker.
+    array form of their vertices (the lamplighter of path(2) over the
+    line, the free groups, the line and the grids).
+    `walk_encoding(starts, steps)` returns a WalkFrame that encodes every
+    vertex within `steps` moves of the starts as one numpy row. Walks
+    use `spawn(start, n)` (the state of n walkers at `start`),
+    `move(state, who, u)` (walker who[j] goes to its step_fn neighbor
+    number int(u[j] * regular_degree)) and `labels(state)` (one bytes
+    label per walker, equal iff two walkers stand on the same vertex);
+    `ball` uses `ball_rows`, `expand` and `decode` (see WalkFrame).
+    `row_bytes` is the size of one row.
     """
 
     neighbors: Callable[[VertexKey], list]
@@ -97,6 +98,7 @@ def line_graph():
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name="line",
         regular_degree=2, step_fn=_line_step,
+        walk_encoding=lambda starts, steps: _IntFrame(1, starts, steps),
     )
 
 
@@ -183,6 +185,7 @@ def grid_graph(d):
     return GraphOracle(
         nbrs, IntPoint((0,) * d), degree_bound=2 * d, name=f"grid({d})",
         regular_degree=2 * d, step_fn=step,
+        walk_encoding=lambda starts, steps: _IntFrame(d, starts, steps),
     )
 
 
@@ -290,7 +293,10 @@ def lamplighter(L, H, root_o):
             return v.with_lamp(v.base, l_step(cur, i - hr), root_o)
 
         if L.step_fn is _flip_step and H.step_fn is _line_step:
-            encoding = _LampLineFrame
+            lit = _flip_step(root_o, 0)
+
+            def encoding(starts, steps):
+                return _LampLineFrame(starts, steps, lit)
 
     return GraphOracle(
         nbrs,
@@ -352,7 +358,9 @@ def k_fuzz(G, k):
         raise ValueError(f"fuzz parameter must be >= 1, got {k}")
 
     def nbrs(v):
-        return sorted(ball(G, v, k).verts[1:])
+        near = vertices_within(G, v, k)
+        near.remove(v)
+        return sorted(near)
 
     bound = None
     D = G.degree_bound
@@ -366,14 +374,63 @@ def k_fuzz(G, k):
     return GraphOracle(nbrs, G.origin, degree_bound=bound, name=f"{G.name}^[{k}]")
 
 
+def vertices_within(G, v, k):
+    """The set of vertices within distance k of v in G: a BFS that calls
+    G.neighbors only on the vertices closer than k."""
+    seen = {v}
+    layer = [v]
+    for _ in range(k):
+        nxt = []
+        for u in layer:
+            for w in G.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        layer = nxt
+    return seen
+
+
 # ---------------------------------------------------------------------------
-# array walk frames
+# array frames
+
+# a frame whose rows are wider than this is not built (see array_frame)
+ARRAY_ROW_BYTES_CAP = 2048
+# frames refuse coordinates this large, so +-1 moves cannot leave int64
+_COORD_LIMIT = 2**62
+
+
+def array_frame(G, starts, steps):
+    """G's WalkFrame for vertices within `steps` moves of `starts`, or
+    None where G has no walk_encoding, a row would exceed
+    ARRAY_ROW_BYTES_CAP, or a coordinate could leave int64. The starts
+    must already be vetted as vertices of G."""
+    if G.walk_encoding is None:
+        return None
+    try:
+        frame = G.walk_encoding(tuple(starts), steps)
+    except OverflowError:
+        return None
+    return frame if frame.row_bytes <= ARRAY_ROW_BYTES_CAP else None
+
+
+def _check_coords(lo, hi):
+    if max(-lo, hi) >= _COORD_LIMIT:
+        raise OverflowError(f"coordinates in [{lo}, {hi}] overflow int64")
 
 
 class WalkFrame:
-    """Walkers as numpy arrays (see GraphOracle.walk_encoding). Concrete
-    frames define `row_bytes`, `spawn` and `move`; `_rows(state)` is a
-    2-D array whose row i determines walker i's vertex exactly."""
+    """Vertices as numpy rows (see GraphOracle.walk_encoding).
+
+    Walks: concrete frames define `row_bytes`, `spawn` and `move`, and
+    `_rows(state)` is a 2-D array whose row i determines walker i's
+    vertex exactly.
+
+    Balls: `ball_rows(center)` is the center's row; `expand(rows)`
+    returns, row after row, a fixed number of choice rows per row (its
+    neighbors, in sorted vertex-key order, where the choice is valid)
+    and a boolean mask of the valid choices, or None when all are; and
+    `decode(rows)` gives the vertex keys.
+    """
 
     def labels(self, state):
         rows = np.ascontiguousarray(self._rows(state))
@@ -383,22 +440,56 @@ class WalkFrame:
     def _rows(self, state):
         return state
 
+    def ball_rows(self, center):
+        return self._rows(self.spawn(center, 1))
+
+
+class _IntFrame(WalkFrame):
+    """Walkers on the line or grid(d) as rows of d int64 coordinates.
+    Walk choices follow step_fn, (axis, sign) = divmod(choice, 2); ball
+    choices are -e_0..-e_{d-1}, then +e_{d-1}..+e_0."""
+
+    def __init__(self, d, starts, steps):
+        coords = [x for s in starts for x in s.coords]
+        _check_coords(min(coords) - steps, max(coords) + steps)
+        self.row_bytes = 8 * d
+        eye = np.eye(d, dtype=np.int64)
+        self._offsets = np.concatenate([-eye, eye[::-1]])
+
+    def spawn(self, start, n):
+        return np.tile(np.array(start.coords, dtype=np.int64), (n, 1))
+
+    def move(self, state, who, u):
+        axis, up = np.divmod((u * len(self._offsets)).astype(np.intp), 2)
+        state[who, axis] += 2 * up - 1
+
+    def expand(self, rows):
+        out = rows[:, None, :] + self._offsets
+        return out.reshape(-1, rows.shape[1]), None
+
+    def decode(self, rows):
+        return [_raw_point(tuple(r)) for r in rows.tolist()]
+
 
 class _LampLineFrame(WalkFrame):
     """Walkers on lamplighter(path(2), line, root) as one int64 row each:
     the position, then a bitset of the lamps that differ from the root
-    over every site that the starts' lamps or `steps` moves from a start
-    can reach. Choices follow step_fn: left, right, toggle the lamp at
-    the position."""
+    (their state is `lit`) over every site that the starts' lamps or
+    `steps` moves from a start can reach. Walk choices follow step_fn:
+    left, right, toggle the lamp at the position; ball choices are left,
+    toggle, right."""
 
     _DELTA = np.array([-1, 1, 0], dtype=np.int64)
 
-    def __init__(self, starts, steps):
+    def __init__(self, starts, steps, lit):
         pos = [s.base.coords[0] for s in starts]
-        lit = [h.coords[0] for s in starts for h, _ in s.lamps]
-        self.lo = min([min(pos) - steps] + lit)
-        words = (max([max(pos) + steps] + lit) - self.lo) // 64 + 1
+        lit_sites = [h.coords[0] for s in starts for h, _ in s.lamps]
+        self.lo = min([min(pos) - steps] + lit_sites)
+        hi = max([max(pos) + steps] + lit_sites)
+        _check_coords(self.lo, hi)
+        words = (hi - self.lo) // 64 + 1
         self.row_bytes = 8 * (1 + words)
+        self.lit = lit
 
     def spawn(self, start, n):
         row = np.zeros(self.row_bytes // 8, dtype=np.int64)
@@ -416,11 +507,43 @@ class _LampLineFrame(WalkFrame):
         site = here[toggle] - self.lo
         state[who[toggle], 1 + (site >> 6)] ^= np.left_shift(1, site & 63)
 
+    def expand(self, rows):
+        n = len(rows)
+        out = np.repeat(rows[:, None, :], 3, axis=1)
+        out[:, 0, 0] -= 1
+        out[:, 2, 0] += 1
+        site = rows[:, 0] - self.lo
+        out[np.arange(n), 1, 1 + (site >> 6)] ^= np.left_shift(1, site & 63)
+        return out.reshape(3 * n, -1), None
+
+    def decode(self, rows):
+        # bit b of the little-endian bitset is site lo + b
+        bits = np.ascontiguousarray(rows[:, 1:], dtype="<i8").view(np.uint8)
+        owner, bit = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
+        sites, slot = np.unique(bit, return_inverse=True)
+        sites = (sites + self.lo).tolist()
+        pos = rows[:, 0].tolist()
+        point = {x: _raw_point((x,)) for x in set(pos).union(sites)}
+        lit = self.lit
+        entry = [(point[x], lit) for x in sites]
+        canon = [(point[x].canon, lit.canon) for x in sites]
+        slot = slot.tolist()
+        ends = np.searchsorted(owner, np.arange(1, len(rows) + 1)).tolist()
+        out = []
+        a = 0
+        for x, b in zip(pos, ends):
+            mine = slot[a:b]
+            out.append(_raw_lamp(point[x], tuple([entry[j] for j in mine]),
+                                 tuple([canon[j] for j in mine])))
+            a = b
+        return out
+
 
 class _WordFrame(WalkFrame):
     """Walkers on a free group as reduced words: one row of letters per
-    walker, zero past the word's end, plus a length array. Choices index
-    `letters` as step_fn does."""
+    walker, zero past the word's end, plus a length array. Walk choices
+    index `letters` as step_fn does; ball choices are: drop the last
+    letter, then append each letter in ascending order."""
 
     def __init__(self, letters, starts, steps):
         dtype = np.int8 if len(letters) < 256 else np.int64
@@ -447,25 +570,47 @@ class _WordFrame(WalkFrame):
     def _rows(self, state):
         return state[0]
 
+    def expand(self, rows):
+        n, k = len(rows), len(self.letters) + 1
+        up = np.sort(self.letters)
+        length = np.count_nonzero(rows, axis=1)
+        last = rows[np.arange(n), np.maximum(length - 1, 0)]
+        out = np.repeat(rows[:, None, :], k, axis=1)
+        word = np.flatnonzero(length)
+        out[word, 0, length[word] - 1] = 0
+        out[np.arange(n)[:, None], np.arange(1, k), length[:, None]] = up
+        valid = np.empty((n, k), dtype=bool)
+        valid[:, 0] = length > 0
+        # a zero `last` (the empty word) never cancels a generator
+        valid[:, 1:] = up != -last[:, None]
+        return out.reshape(n * k, -1), valid.ravel()
+
+    def decode(self, rows):
+        length = np.count_nonzero(rows, axis=1).tolist()
+        return [_raw_word(tuple(r[:m])) for r, m in zip(rows.tolist(), length)]
+
 
 # ---------------------------------------------------------------------------
 # finite materialization
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteGraph:
     """Materialized induced subgraph with boundary marking.
 
-    Vertices carry a stable index; `adj` holds per-vertex sorted index
-    lists, and `indptr`/`indices` are the same rows as int64 CSR arrays,
-    built on first use. Boundary vertices are those with an
-    oracle-neighbor outside `verts` (and, in a ball, those on the outer
-    sphere); interior vertices therefore have their full degree
-    represented.
+    Vertices carry a stable index. The adjacency is stored once, as int64
+    CSR arrays: the neighbors of vertex v are the sorted indices
+    `indices[indptr[v]:indptr[v + 1]]`. `adj` gives the same rows as
+    Python lists, built on first use, for Python-loop code. Boundary
+    vertices are those with an oracle-neighbor outside `verts` (and, in
+    a ball, those on the outer sphere); interior vertices therefore have
+    their full degree represented. A FiniteGraph is not changed once
+    built; it compares and hashes by identity.
     """
 
     verts: list
-    adj: list
+    indptr: np.ndarray
+    indices: np.ndarray
     boundary_mask: np.ndarray
 
     @property
@@ -473,15 +618,9 @@ class FiniteGraph:
         return len(self.verts)
 
     @cached_property
-    def indptr(self):
-        out = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in self.adj], out=out[1:])
-        return out
-
-    @cached_property
-    def indices(self):
-        flat = chain.from_iterable(self.adj)
-        return np.fromiter(flat, dtype=np.int64, count=int(self.indptr[-1]))
+    def adj(self):
+        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def row_owners(self):
         """The vertex each entry of `indices` belongs to."""
@@ -505,20 +644,24 @@ class FiniteGraph:
     def from_edges(cls, n, edges, boundary=(), verts=None):
         """Build directly from an undirected edge list (test/CLI input).
         Self-loops are rejected; duplicates collapse."""
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
+        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+        if bad.any():
+            u, v = e[np.argmax(bad)].tolist()
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            adj[u].add(v)
-            adj[v].add(u)
+            raise ValueError(f"edge ({u},{v}) out of range")
+        # each edge in both directions, sorted by (u, v), duplicates gone
+        both = np.concatenate([e, e[:, ::-1]])
+        u, v = np.divmod(np.unique(both[:, 0] * n + both[:, 1]), max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
         mask = np.zeros(n, dtype=bool)
         for b in boundary:
             mask[b] = True
         if verts is None:
             verts = [IntPoint((i,)) for i in range(n)]
-        return cls(list(verts), [sorted(s) for s in adj], mask)
+        return cls(list(verts), indptr, v, mask)
 
 
 def _index_row(index, nbrs):
@@ -529,26 +672,45 @@ def _index_row(index, nbrs):
 def ball(G, center, R, budget=None):
     """Induced subgraph on {v : d(center, v) <= R}; vertex 0 is the center.
 
-    One BFS pass calls G.neighbors once per vertex: the list both
-    discovers new vertices (below radius R) and, once every vertex at
-    distance <= R is known, gives the vertex's row. Neighbor lists are
-    expanded in sorted order, so the vertex indexing is canonical, and
-    B_r for r < R is the prefix of the vertices at distance <= r. The
-    boundary is the sphere d == R: closer vertices have every neighbor
-    inside. Raises BudgetExceededError once more than `budget` vertices
-    are discovered (default DEFAULT_VERTEX_BUDGET).
+    A BFS whose vertex indexing is canonical: each layer lists the new
+    neighbors of the previous layer's vertices in vertex order, each
+    vertex's neighbors in sorted key order, so B_r for r < R is the
+    prefix of the vertices at distance <= r. The boundary is the sphere
+    d == R: closer vertices have every neighbor inside. Raises
+    BudgetExceededError once more than `budget` vertices are discovered
+    (default DEFAULT_VERTEX_BUDGET).
+
+    On oracles with an array frame (see array_frame) the BFS runs on the
+    frame's rows and calls G.neighbors once, on the center, to vet it.
+    Elsewhere it calls G.neighbors once per vertex: the list both
+    discovers new vertices (below radius R) and gives the vertex's row.
+    Both give the same FiniteGraph.
     """
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
+    nbrs = G.neighbors(center)
+    # R + 1 moves: the final lookup steps off the sphere
+    frame = array_frame(G, (center,), R + 1)
+    if frame is not None:
+        g = _array_ball(frame, center, R, budget)
+        if g is not None:
+            return g
+    return _oracle_ball(G, center, nbrs, R, budget)
+
+
+def _oracle_ball(G, center, nbrs, R, budget):
+    """ball's one-pass BFS on G.neighbors; `nbrs` are the center's."""
     index = {center: 0}
     verts = [center]
     dist = [0]
-    adj = []
+    indptr = [0]
+    indices = []
     # verts grows while it is walked: it is the BFS queue
     for v, dv in zip(verts, dist):
-        nbrs = G.neighbors(v)
+        if nbrs is None:
+            nbrs = G.neighbors(v)
         if dv < R:
             for w in nbrs:
                 if w not in index:
@@ -557,21 +719,114 @@ def ball(G, center, R, budget=None):
                     index[w] = len(verts)
                     verts.append(w)
                     dist.append(dv + 1)
-        adj.append(_index_row(index, nbrs))
-    return FiniteGraph(verts, adj, np.array(dist) == R)
+        indices += _index_row(index, nbrs)
+        indptr.append(len(indices))
+        nbrs = None
+    return FiniteGraph(verts, np.array(indptr, dtype=np.int64),
+                       np.array(indices, dtype=np.int64),
+                       np.array(dist) == R)
+
+
+_HASH_SEED = np.uint64(0x243F6A8885A308D3)
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hash(rows):
+    """A 64-bit hash of each row's bytes: equal rows, equal hashes."""
+    n = len(rows)
+    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(
+        n, rows.shape[1] * rows.itemsize)
+    pad = -raw.shape[1] % 8
+    if pad:
+        raw = np.concatenate([raw, np.zeros((n, pad), np.uint8)], axis=1)
+    h = np.full(n, _HASH_SEED)
+    for word in raw.view(np.uint64).T:
+        h = (h ^ word) * _HASH_MUL
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _lookup(keys, where, h):
+    """where[i] for each hash in `h` equal to the sorted keys[i], else -1."""
+    i = np.minimum(np.searchsorted(keys, h), len(keys) - 1)
+    return np.where(keys[i] == h, where[i], -1)
+
+
+def _array_ball(frame, center, R, budget):
+    """ball on a frame's rows, or None where the frame cannot stand in
+    for the oracle: a center it does not encode exactly, or two distinct
+    rows with one hash. Each layer expands the frontier rows by every
+    choice and keeps the first occurrence of each row not seen before;
+    then one lookup of every vertex's neighbor rows gives the CSR rows.
+    """
+    rows = frame.ball_rows(center)
+    if frame.decode(rows) != [center]:
+        return None
+    keys, where = _row_hash(rows), np.zeros(1, dtype=np.int64)
+    sizes = [1]
+    frontier = rows
+    for _ in range(R):
+        cand, valid = frame.expand(frontier)
+        if valid is not None:
+            cand = cand[valid]
+        h = _row_hash(cand)
+        seen = _lookup(keys, where, h)
+        known = seen >= 0
+        if not np.array_equal(rows[seen[known]], cand[known]):
+            return None
+        cand, h = cand[~known], h[~known]
+        _, first, back = np.unique(h, return_index=True, return_inverse=True)
+        if not np.array_equal(cand[first[back]], cand):
+            return None
+        first.sort()
+        if len(rows) + len(first) > budget:
+            raise BudgetExceededError(max(budget, 1), budget)
+        frontier = cand[first]
+        keys = np.concatenate([keys, h[first]])
+        where = np.concatenate([where, len(rows) + np.arange(len(first))])
+        order = np.argsort(keys, kind="stable")
+        keys, where = keys[order], where[order]
+        rows = np.concatenate([rows, frontier])
+        sizes.append(len(first))
+    cand, valid = frame.expand(rows)
+    nbr = _lookup(keys, where, _row_hash(cand))
+    if valid is not None:
+        nbr[~valid] = -1
+    hit = nbr >= 0
+    if not np.array_equal(rows[nbr[hit]], cand[hit]):
+        return None
+    nbr = np.sort(nbr.reshape(len(rows), -1), axis=1)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nbr >= 0, axis=1), out=indptr[1:])
+    dist = np.repeat(np.arange(len(sizes)), sizes)
+    return FiniteGraph([center] + frame.decode(rows[1:]), indptr,
+                       nbr[nbr >= 0], dist == R)
 
 
 def induced_on(G, verts):
     """Induced FiniteGraph on an explicit vertex list of oracle G.
     Boundary = vertices with an oracle-neighbor outside the list."""
     index = {v: i for i, v in enumerate(verts)}
-    adj = []
+    indptr = [0]
+    indices = []
     mask = np.zeros(len(verts), dtype=bool)
     for i, v in enumerate(verts):
         nbrs = G.neighbors(v)
-        adj.append(_index_row(index, nbrs))
-        mask[i] = len(adj[i]) < len(nbrs)
-    return FiniteGraph(list(verts), adj, mask)
+        row = _index_row(index, nbrs)
+        indices += row
+        indptr.append(len(indices))
+        mask[i] = len(row) < len(nbrs)
+    return FiniteGraph(list(verts), np.array(indptr, dtype=np.int64),
+                       np.array(indices, dtype=np.int64), mask)
+
+
+def _row_slots(indptr, rows):
+    """Positions in a CSR `indices` array of the rows `rows`, row after
+    row."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    offset = np.repeat(start - np.cumsum(count) + count, count)
+    return offset + np.arange(len(offset))
 
 
 def graph_distances(g, sources=0, cutoff=None, allowed=None):
@@ -579,23 +834,22 @@ def graph_distances(g, sources=0, cutoff=None, allowed=None):
 
     The search expands no vertex at distance `cutoff` and enters only
     vertices where the boolean mask `allowed` is set (sources always
-    count). Vertices it does not reach get -1.
+    count). Vertices it does not reach get -1. One numpy pass per layer
+    over the CSR rows of the frontier.
     """
-    dist = dict.fromkeys(np.atleast_1d(sources).tolist(), 0)
-    q = deque(dist)
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        if cutoff is not None and du > cutoff:
-            continue
-        for w in g.adj[u]:
-            if w not in dist and (allowed is None or allowed[w]):
-                dist[w] = du
-                q.append(w)
-    out = np.full(g.n, -1, dtype=np.int64)
-    out[np.fromiter(dist, dtype=np.int64, count=len(dist))] = list(
-        dist.values())
-    return out
+    dist = np.full(g.n, -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    d = 0
+    while len(frontier) and (cutoff is None or d < cutoff):
+        d += 1
+        reach = g.indices[_row_slots(g.indptr, frontier)]
+        reach = reach[dist[reach] < 0]
+        if allowed is not None:
+            reach = reach[allowed[reach]]
+        frontier = np.unique(reach)
+        dist[frontier] = d
+    return dist
 
 
 def ball_sizes(g, R):
@@ -614,9 +868,18 @@ def end_estimate(G, r, R, budget=None):
     moderate scale flags infinitely many ends. Components that do not reach
     the outer sphere are bounded pockets and are discarded.
     """
+    _check_end_radii(r, R)
+    return _ends_of_ball(ball(G, G.origin, R, budget=budget), r, R)
+
+
+def _check_end_radii(r, R):
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
-    g = ball(G, G.origin, R, budget=budget)
+
+
+def _ends_of_ball(g, r, R):
+    """end_estimate(G, r, R) read off g = B_R of G around its origin."""
+    _check_end_radii(r, R)
     dist = graph_distances(g, 0)
     shell = dist > r
     unseen = dist == R

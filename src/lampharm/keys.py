@@ -135,6 +135,16 @@ class LampKey(VertexKey):
         return LampKey(self.base, entries)
 
 
+def _raw_point(coords):
+    """Construct an IntPoint from a tuple KNOWN to hold Python ints,
+    skipping conversion. Same caveat as _raw_word."""
+    p = IntPoint.__new__(IntPoint)
+    p.coords = coords
+    p.canon = ("i", coords)
+    p._hash = hash(p.canon)
+    return p
+
+
 def _raw_word(letters):
     """Construct a WordKey from a tuple KNOWN to be a reduced word,
     skipping validation. Only for graph step functions whose output is

@@ -225,9 +225,10 @@ def _solve_p2_cg(g, f, interior, tol, max_iters):
 
 
 def _greedy_color(g, interior):
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
     color = {}
-    for v in interior:
-        used = {color[w] for w in g.adj[v] if w in color}
+    for v in interior.tolist():
+        used = {color[w] for w in flat[ptr[v]:ptr[v + 1]] if w in color}
         c = 0
         while c in used:
             c += 1

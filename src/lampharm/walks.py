@@ -9,15 +9,16 @@ once per walker and step, and a bytes row per vertex on the array
 engine, which steps whole batches of walkers as numpy arrays.
 
 walk_series takes the array engine on oracles that carry a
-`walk_encoding`: the lamplighter of path(2) over the line and the free
-groups. It draws from the generator exactly as the object engine does
-(per batch of BATCH_TRIALS walkers and per step, one rng.random(batch)
-for laziness unless laziness is 0, then one rng.random(movers) whose
-value u picks step_fn neighbor int(u * regular_degree)), so every
-walker follows the same trajectory on either engine. simulate_walks,
-every other oracle, and walks whose array rows would outgrow
-ARRAY_ROW_BYTES_CAP (a start lamp far from the starts, say) run the
-object engine.
+`walk_encoding`: the lamplighter of path(2) over the line, the free
+groups, the line and the grids. It draws from the generator exactly as
+the object engine does (per batch of BATCH_TRIALS walkers and per step,
+one rng.random(batch) for laziness unless laziness is 0, then one
+rng.random(movers) whose value u picks step_fn neighbor
+int(u * regular_degree)), so every walker follows the same trajectory on
+either engine. simulate_walks, every other oracle, and walks whose
+array rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp far from the
+starts, say) or whose coordinates could leave int64 run the object
+engine (see graphs.array_frame).
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_VERTEX_BUDGET, BudgetExceededError
+from .graphs import (
+    ARRAY_ROW_BYTES_CAP,  # noqa: F401  (read as walks.ARRAY_ROW_BYTES_CAP)
+    DEFAULT_VERTEX_BUDGET,
+    BudgetExceededError,
+    array_frame,
+)
 
 DEFAULT_SEED = 42
 BATCH_TRIALS = 20_000
@@ -70,9 +76,9 @@ def _resolve_starts(G, cfg):
 
 
 NEIGHBOR_CACHE_CAP = 100_000
-# an array frame wider than this per walker runs on the object engine,
-# which bounds a batch's array state at BATCH_TRIALS * 2048 bytes (41 MB)
-ARRAY_ROW_BYTES_CAP = 2048
+# a walk whose array rows would be wider than ARRAY_ROW_BYTES_CAP runs on
+# the object engine, which bounds a batch's array state at
+# BATCH_TRIALS * 2048 bytes (41 MB)
 
 
 class _KeyFrame:
@@ -216,9 +222,7 @@ def walk_series(G, cfg, checkpoints=None, budget=None):
     if G.walk_encoding is not None:
         for s in (a, b):
             G.neighbors(s)  # the frame reads the keys' fields: vet them
-        arrays = G.walk_encoding((a, b), cfg.steps)
-        if arrays.row_bytes <= ARRAY_ROW_BYTES_CAP:
-            frame = arrays
+        frame = array_frame(G, (a, b), cfg.steps) or frame
     rng = np.random.default_rng(cfg.seed)
     ha, halves_a = _run_walk(frame, a, cfg, marks, rng)
     hb, _ = _run_walk(frame, b, cfg, marks, rng)

@@ -5,6 +5,7 @@ This test loads those two perfbench files as they are and runs them
 around one small probe, so renaming a hooked name fails here instead of
 breaking `perfbench/run.py --trace 1`."""
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -32,7 +33,10 @@ def test_trace_hooks_and_residual_checker_fit_the_package(monkeypatch):
     instrument = _load("instrument", monkeypatch)
     residual = _load("residual", monkeypatch)
     original_ball = graphs.ball
-    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    # the oracle path, which calls neighbors once per ball vertex
+    G = dataclasses.replace(
+        lamplighter(path_graph(2), line_graph(), IntPoint((0,))),
+        walk_encoding=None)
     rec, tracer = instrument.Recorder(), instrument.Tracer()
     with instrument.instrumented(rec, tracer):
         osc, _ = potential.oscillation_probe(G, G.origin, 4, 2.0,

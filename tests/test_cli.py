@@ -220,3 +220,22 @@ def test_liouville_csv_is_identical_across_hash_seeds(tmp_path):
         out[seed] = [(tmp_path / seed / f"liouville_{s}.csv").read_bytes()
                      for s in "ab"]
     assert out["1"] == out["2"]
+
+
+def test_build_graph_builds_the_ball_once(monkeypatch, capsys):
+    from lampharm import cli, graphs
+
+    radii = []
+
+    def counted(G, center, R, **kw):
+        radii.append(R)
+        return ball(G, center, R, **kw)
+
+    ball = graphs.ball
+    monkeypatch.setattr(cli, "ball", counted)
+    monkeypatch.setattr(graphs, "ball", counted)
+    code = main(["build-graph", "--descriptor",
+                 '{"family": "grid", "d": 2}', "--radius", "6"])
+    assert code == 0
+    assert radii == [6]
+    assert "end estimate (r=3, R=6): 1" in capsys.readouterr().out

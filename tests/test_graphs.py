@@ -202,18 +202,31 @@ def test_graph_distances_and_pairwise():
     assert graph_distances(g, i, cutoff=4)[j] == -1
 
 
-def test_ball_calls_neighbors_once_per_vertex():
-    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+def _counting(G):
     calls = []
 
     def counted(v):
         calls.append(v)
         return G.neighbors(v)
 
-    g = ball(dataclasses.replace(G, neighbors=counted), G.origin, 10)
+    return dataclasses.replace(G, neighbors=counted), calls
+
+
+def test_ball_calls_neighbors_once_per_vertex():
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    counted, calls = _counting(dataclasses.replace(G, walk_encoding=None))
+    g = ball(counted, G.origin, 10)
     assert g.n == 1457
     assert len(calls) == 1457
     assert calls == g.verts
+
+
+def test_array_ball_calls_neighbors_once_on_the_center():
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    counted, calls = _counting(G)
+    g = ball(counted, G.origin, 10)
+    assert g.n == 1457
+    assert calls == [G.origin]
 
 
 def test_csr_arrays_agree_with_adj():
@@ -353,3 +366,193 @@ def test_irregular_families_do_not_advertise_a_step_function():
     assert lamplighter(
         path_graph(3), line_graph(), IntPoint((0,))
     ).regular_degree is None
+
+
+def _canon_ball(g):
+    return ([v.canon for v in g.verts], g.indptr.tolist(), g.indices.tolist(),
+            g.boundary_mask.tolist())
+
+
+def _assert_same_ball(G, center, R):
+    """ball on G equals ball on G without its array frame (the oracle
+    path), vertex keys, CSR rows and boundary alike."""
+    fast = ball(G, center, R)
+    slow = ball(dataclasses.replace(G, walk_encoding=None), center, R)
+    assert fast.indptr.dtype == fast.indices.dtype == np.int64
+    assert _canon_ball(fast) == _canon_ball(slow)
+
+
+def _lit(root, pos, sites):
+    """A lamplighter(path(2), line, root) key: lamps at `sites` off the
+    root state, which is state 0 when the root is 1."""
+    o = IntPoint((root,))
+    return LampKey.make(IntPoint((pos,)),
+                        {IntPoint((s,)): IntPoint((1 - root,)) for s in sites},
+                        o)
+
+
+_ARRAY_FAMILIES = [
+    (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), None),
+    (lamplighter(path_graph(2), line_graph(), IntPoint((0,))),
+     _lit(0, 1, [-2, 0, 3])),
+    (lamplighter(path_graph(2), line_graph(), IntPoint((1,))), None),
+    (lamplighter(path_graph(2), line_graph(), IntPoint((1,))),
+     _lit(1, -1, [-3, 2])),
+    (free_group_graph(1), None),
+    (free_group_graph(1), WordKey((-1, -1))),
+    (free_group_graph(2), None),
+    (free_group_graph(2), WordKey((1, -2))),
+    (free_group_graph(3), None),
+    (free_group_graph(3), WordKey((3, -1, 2))),
+    (line_graph(), None),
+    (line_graph(), IntPoint((5,))),
+    (grid_graph(1), IntPoint((-4,))),
+    (grid_graph(2), None),
+    (grid_graph(2), IntPoint((-3, 4))),
+    (grid_graph(3), None),
+    (grid_graph(3), IntPoint((2, -1, 5))),
+]
+
+
+@pytest.mark.parametrize(
+    "G, center", _ARRAY_FAMILIES,
+    ids=[f"{G.name}@{'origin' if c is None else format_key(c)}"
+         for G, c in _ARRAY_FAMILIES])
+def test_array_ball_matches_oracle_ball(G, center):
+    assert G.walk_encoding is not None
+    for R in range(7):
+        _assert_same_ball(G, G.origin if center is None else center, R)
+
+
+@pytest.mark.parametrize("G, R", [
+    (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), 10),
+    (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), 12),
+    (free_group_graph(2), 7),
+    (free_group_graph(2), 8),
+    (grid_graph(3), 12),
+    (grid_graph(2), 32),
+    (grid_graph(2), 64),
+    (line_graph(), 64),
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_array_ball_matches_oracle_ball_at_benchmark_radii(G, R):
+    _assert_same_ball(G, G.origin, R)
+
+
+def test_ball_falls_back_to_the_oracle_past_the_row_cap():
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    far = _lit(0, 0, [10**6])
+    counted, calls = _counting(G)
+    g = ball(counted, far, 3)
+    assert len(calls) == g.n == 22
+    _assert_same_ball(G, far, 3)
+
+
+def test_ball_falls_back_where_coordinates_could_leave_int64():
+    G = grid_graph(2)
+    far = IntPoint((2**62 - 2, 0))
+    counted, calls = _counting(G)
+    g = ball(counted, far, 2)
+    assert len(calls) == g.n == 13
+    _assert_same_ball(G, far, 2)
+
+
+def test_ball_falls_back_where_the_frame_cannot_encode_the_center():
+    # a lamp entry at the root state is not canonical, so the frame's
+    # bitset cannot represent it; neighbors accepts it all the same
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    odd = LampKey(IntPoint((0,)), [(IntPoint((2,)), IntPoint((0,)))])
+    counted, calls = _counting(G)
+    g = ball(counted, odd, 2)
+    assert len(calls) == g.n
+    assert g.verts[0] is odd
+    _assert_same_ball(G, odd, 2)
+
+
+def test_ball_falls_back_on_a_row_hash_collision(monkeypatch):
+    from lampharm import graphs
+
+    monkeypatch.setattr(graphs, "_row_hash",
+                        lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    G = free_group_graph(2)
+    counted, calls = _counting(G)
+    g = ball(counted, G.origin, 3)
+    assert len(calls) == g.n == 53
+    _assert_same_ball(G, G.origin, 3)
+
+
+@pytest.mark.parametrize("G, center", [
+    (free_group_graph(2), WordKey((3,))),
+    (grid_graph(2), IntPoint((0,))),
+    (line_graph(), WordKey(())),
+    (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), IntPoint((0,))),
+])
+def test_array_ball_rejects_an_invalid_center(G, center):
+    with pytest.raises(InvalidVertexError):
+        ball(G, center, 3)
+
+
+def test_array_ball_budget_matches_the_oracle_path():
+    for G in (grid_graph(2), free_group_graph(2)):
+        errors = []
+        for H in (G, dataclasses.replace(G, walk_encoding=None)):
+            with pytest.raises(BudgetExceededError) as e:
+                ball(H, H.origin, 10, budget=30)
+            errors.append((e.value.partial_count, e.value.budget))
+        assert errors == [(30, 30), (30, 30)]
+    assert ball(grid_graph(2), IntPoint((0, 0)), 3, budget=25).n == 25
+
+
+def test_k_fuzz_query_expands_only_the_inner_ball():
+    # a k=2 query calls neighbors on the center and its 4 neighbors
+    for G in (grid_graph(2), free_group_graph(2)):
+        counted, calls = _counting(G)
+        nbrs = k_fuzz(counted, 2).neighbors(G.origin)
+        assert len(calls) == 5
+        assert nbrs == sorted(ball(G, G.origin, 2).verts[1:])
+
+
+def test_from_edges_builds_sorted_csr_rows():
+    g = FiniteGraph.from_edges(4, [(2, 0), (0, 1), (1, 0), (3, 2)],
+                               boundary=[3])
+    assert g.indptr.tolist() == [0, 2, 3, 5, 6]
+    assert g.indices.tolist() == [1, 2, 0, 0, 3, 2]
+    assert g.adj == [[1, 2], [0], [0, 3], [2]]
+    assert g.boundary_mask.tolist() == [False, False, False, True]
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGraph.from_edges(3, [(0, 1), (1, 3)])
+    empty = FiniteGraph.from_edges(0, [])
+    assert empty.n == 0 and empty.indptr.tolist() == [0]
+
+
+def _reference_distances(adj, sources, cutoff, allowed):
+    """Plain deque BFS over adjacency lists: the loop graph_distances
+    replaced, kept as its reference."""
+    from collections import deque
+
+    dist = {s: 0 for s in sources}
+    q = deque(dist)
+    while q:
+        u = q.popleft()
+        if cutoff is not None and dist[u] >= cutoff:
+            continue
+        for w in adj[u]:
+            if w not in dist and (allowed is None or allowed[w]):
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return [dist.get(v, -1) for v in range(len(adj))]
+
+
+def test_graph_distances_matches_a_reference_bfs():
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randrange(1, 40)
+        edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 5)}
+        g = FiniteGraph.from_edges(n, [(u, v) for u, v in edges if u != v])
+        sources = rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))
+        cutoff = rng.choice([None, 0, 1, 2, 5])
+        allowed = None
+        if trial % 2:
+            allowed = np.array([rng.random() < 0.7 for _ in range(n)])
+        want = _reference_distances(g.adj, sources, cutoff, allowed)
+        got = graph_distances(g, sources, cutoff=cutoff, allowed=allowed)
+        assert got.tolist() == want

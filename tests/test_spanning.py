@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -219,3 +220,43 @@ def test_lamplighter_augmented_pair_bound():
         f = rng.normal(size=g.n)
         rep = verify_gradient_bound(g, g_aug, f, 2.0, 3)
         assert rep.ok and rep.structural_ok
+
+
+def test_check_line_rule_expands_only_vertices_closer_than_k():
+    G = line_graph()
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return G.neighbors(v)
+
+    H = dataclasses.replace(G, neighbors=counted, walk_encoding=None)
+    assert check_line_rule(H, builtin_spanning_line("line"), 0, 10)
+    # k=1: one call per consecutive pair, on its first vertex
+    assert calls == [IntPoint((i,)) for i in range(10)]
+
+
+def test_gradient_bound_structure_is_checked_once_per_pair(monkeypatch):
+    from lampharm import spanning
+
+    G = caterpillar_graph()
+    Gp = augment_with_line(G, builtin_spanning_line("caterpillar"))
+    g, g_aug = augment_ball(G, Gp, G.origin, 6, 3)
+    sources = []
+
+    def counted(h, src, **kw):
+        sources.append(src)
+        return graph_distances(h, src, **kw)
+
+    monkeypatch.setattr(spanning, "graph_distances", counted)
+    rng = np.random.default_rng(4)
+    reports = [verify_gradient_bound(g, g_aug, rng.normal(size=g.n), p, 3)
+               for p in (1.5, 2.0, 3.0)]
+    added = [(u, v) for u, v in g_aug.edges().tolist()
+             if (u, v) not in set(map(tuple, g.edges().tolist()))]
+    assert sorted(sources) == sorted({u for u, _ in added})
+    assert all(r.structural_ok and r.added_edges == len(added)
+               for r in reports)
+    # another k is another check
+    verify_gradient_bound(g, g_aug, np.zeros(g.n), 2.0, 1)
+    assert len(sources) == 2 * len({u for u, _ in added})

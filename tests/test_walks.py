@@ -14,6 +14,7 @@ from lampharm.graphs import (
     ball,
     cycle_graph,
     free_group_graph,
+    grid_graph,
     lamplighter,
     line_graph,
     path_graph,
@@ -256,8 +257,12 @@ def _lamp(site):
     (free_group_graph(2), (None, None), 0.5, 3000, 12),
     (free_group_graph(3), (WordKey((1, -2)), None), 0.5, 3000, 12),
     (free_group_graph(2), (None, None), 0.0, BATCH_TRIALS + 1, 3),
+    (line_graph(), (IntPoint((-3,)), None), 0.5, 3000, 12),
+    (grid_graph(2), (None, None), 0.5, 3000, 12),
+    (grid_graph(3), (IntPoint((1, -2, 0)), None), 0.0, 3000, 12),
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-beyond-row-cap",
-        "lamp-eager", "lamp-root-1", "free2", "free3", "free2-eager-batches"])
+        "lamp-eager", "lamp-root-1", "free2", "free3", "free2-eager-batches",
+        "line", "grid2", "grid3-eager"])
 def test_array_engine_matches_object_engine(G, starts, laziness, trials,
                                             steps):
     """Same RNG draws, same trajectories: the array engine and the object
@@ -274,8 +279,18 @@ def test_array_engine_matches_object_engine(G, starts, laziness, trials,
         assert abs(got - want) <= 1e-12
 
 
+def test_walk_past_int64_coordinates_runs_on_the_object_engine():
+    G = line_graph()
+    far = IntPoint((2**63,))
+    cfg = WalkConfig(steps=6, trials=500, seed=3, start_a=far)
+    fast = walk_series(G, cfg, [3, 6])
+    slow = walk_series(dataclasses.replace(G, walk_encoding=None), cfg, [3, 6])
+    assert fast.tv == slow.tv and fast.baseline == slow.baseline
+
+
 def test_only_the_encoded_families_carry_an_array_walk():
-    assert line_graph().walk_encoding is None
+    assert line_graph().walk_encoding is not None
+    assert grid_graph(2).walk_encoding is not None
     assert cycle_graph(5).walk_encoding is None
     L = path_graph(2)
     assert lamplighter(L, cycle_graph(5), IntPoint((0,))).walk_encoding is None
