@@ -30,6 +30,7 @@ from .potential import (
     DirichletProblem,
     DisconnectedInteriorError,
     NonConvergenceError,
+    SolveStats,
     SolverError,
     VertexFunction,
     annulus_capacity,
@@ -37,6 +38,7 @@ from .potential import (
     harmonic_residual,
     oscillation_probe,
     p_energy,
+    residual_floor,
     sign_projection,
     solve_dirichlet,
     split_by_sign,
@@ -86,9 +88,10 @@ __all__ = [
     "k_fuzz", "lamplighter", "line_graph", "path_graph",
     "DescriptorError", "parse_descriptor",
     "DirichletProblem", "DisconnectedInteriorError",
-    "NonConvergenceError", "SolverError", "VertexFunction",
+    "NonConvergenceError", "SolveStats", "SolverError", "VertexFunction",
     "annulus_capacity", "gradient", "harmonic_residual",
-    "oscillation_probe", "p_energy", "sign_projection", "solve_dirichlet",
+    "oscillation_probe", "p_energy", "residual_floor", "sign_projection",
+    "solve_dirichlet",
     "split_by_sign",
     "GrowthEstimate", "IsoProfilePoint", "default_family", "edge_boundary",
     "growth_exponent", "is_d_kappa", "iso_profile", "iso_ratio",

@@ -27,7 +27,6 @@ from .graphs import (
     direct_product,
     edge_list_text,
     free_group_graph,
-    graph_distances,
     grid_graph,
     lamplighter,
     line_graph,
@@ -45,8 +44,10 @@ from .potential import (
     annulus_capacity,
     p_energy,
     solve_dirichlet,
+    split_values,
+    window_oscillation,
 )
-from .report import ExperimentReport, dirichlet_json, fmt_value, write_csv
+from .report import ExperimentReport, csv_text, dirichlet_json, fmt_value
 from .spanning import find_spanning_line
 from .walks import WalkConfig, liouville_contrast
 
@@ -83,21 +84,22 @@ def _load_descriptor(text):
     return desc, parse_descriptor(desc)
 
 
-def _write_report(report, args, stem):
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir is None:
+def _write_out(args, name, text):
+    """Write `text` to out_dir/name when --out-dir is given."""
+    if args.out_dir is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        path = os.path.join(out_dir, f"{stem}.json")
-        with open(path, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    else:
-        path = os.path.join(out_dir, f"{stem}.csv")
-        with open(path, "w") as fh:
-            fh.write(report.to_csv())
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
     print(f"wrote {path}")
+
+
+def _write_report(report, args, stem):
+    if args.format == "json":
+        _write_out(args, f"{stem}.json", report.to_json() + "\n")
+    else:
+        _write_out(args, f"{stem}.csv", report.to_csv())
 
 
 def _echo_verdicts(report):
@@ -128,16 +130,8 @@ def cmd_build_graph(args):
     inner = max(1, R // 2)
     ends = _ends_of_ball(g, inner, R)
     print(f"end estimate (r={inner}, R={R}): {ends}")
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        epath = os.path.join(args.out_dir, "ball_edges.txt")
-        vpath = os.path.join(args.out_dir, "ball_vertices.txt")
-        with open(epath, "w") as fh:
-            fh.write(edge_list_text(g))
-        with open(vpath, "w") as fh:
-            fh.write(vertex_table_text(g))
-        print(f"wrote {epath}")
-        print(f"wrote {vpath}")
+    _write_out(args, "ball_edges.txt", edge_list_text(g))
+    _write_out(args, "ball_vertices.txt", vertex_table_text(g))
     report = ExperimentReport(
         manifest={"command": "build-graph", "descriptor": desc, "radius": R}
     )
@@ -148,14 +142,11 @@ def cmd_build_graph(args):
     return EXIT_OK
 
 
-def _boundary_from_file(path, g):
+def _boundary_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        items = {int(k): float(v) for k, v in data.items()}
-    else:
-        items = {int(i): float(v) for i, v in data}
-    return items
+    pairs = data.items() if isinstance(data, dict) else data
+    return {int(i): float(v) for i, v in pairs}
 
 
 def cmd_solve(args):
@@ -163,38 +154,20 @@ def cmd_solve(args):
     budget = _resolve_budget(args)
     g = ball(G, G.origin, args.radius, budget=budget)
     if args.boundary_file is not None:
-        bvals = _boundary_from_file(args.boundary_file, g)
+        bvals = _boundary_from_file(args.boundary_file)
     else:
-        rule = SPLIT_RULES[args.split]
-        bvals = {
-            int(i): float(rule(g.verts[i]))
-            for i in np.where(g.boundary_mask)[0]
-        }
-    prob = DirichletProblem(
-        g, bvals, p=args.p, tolerance=args.tolerance
-    )
-    sol = solve_dirichlet(prob)
-    residual = harmonic_residual(sol, g)
+        bvals = split_values(g, args.split)
+    sol = solve_dirichlet(
+        DirichletProblem(g, bvals, p=args.p, tolerance=args.tolerance))
+    residual = harmonic_residual(sol, g, args.p)
     energy = p_energy(sol, g, args.p)
-    dist = graph_distances(g, 0)
-    inner = sol.values[dist <= args.radius // 2]
-    osc = float(inner.max() - inner.min())
+    osc = window_oscillation(g, sol, args.radius // 2)
     print(f"vertices: {g.n}  boundary: {len(bvals)}")
     print(f"p: {args.p}  residual: {fmt_value(residual)}")
     print(f"energy: {fmt_value(energy)}")
     print(f"inner oscillation: {fmt_value(osc)}")
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "solution.json")
-        with open(path, "w") as fh:
-            fh.write(
-                dirichlet_json(
-                    desc, args.radius, args.p, bvals, sol.values,
-                    residual, energy,
-                )
-                + "\n"
-            )
-        print(f"wrote {path}")
+    _write_out(args, "solution.json", dirichlet_json(
+        desc, args.radius, args.p, bvals, sol.values, residual, energy) + "\n")
     report = ExperimentReport(
         manifest={
             "command": "solve",
@@ -290,11 +263,8 @@ def cmd_isoprofile(args):
             ("superpolynomial", est.superpolynomial),
         ],
     )
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "isoprofile.csv")
-        write_csv(path, ["set_size", "boundary_size", "d", "ratio"], rows)
-        print(f"wrote {path}")
+    _write_out(args, "isoprofile.csv",
+               csv_text(["set_size", "boundary_size", "d", "ratio"], rows))
     _write_report(report, args, "isoprofile")
     return EXIT_OK
 
@@ -327,13 +297,8 @@ def cmd_spanline(args):
         blob = {"k": res.line.k, "order": keys, "status": res.status}
     else:
         blob = {"k": args.k, "order": None, "status": res.status}
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "spanline.json")
-        with open(path, "w") as fh:
-            json.dump(blob, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+    _write_out(args, "spanline.json",
+               json.dumps(blob, indent=2, sort_keys=True) + "\n")
     if res.status == "timeout":
         return EXIT_BUDGET
     if res.status == "proved_absent":
@@ -387,21 +352,11 @@ def cmd_liouville(args):
         "split-half baseline's margin (TV sinks toward the noise floor)",
         decay - base_drift,
     )
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for label, ser in (("a", rep.liouville), ("b", rep.nonliouville)):
-            path = os.path.join(args.out_dir, f"liouville_{label}.csv")
-            write_csv(
-                path,
-                ["steps", "tv", "baseline_tv", "trials"],
-                [
-                    (t, tv, base, args.trials)
-                    for t, tv, base in zip(
-                        ser.checkpoints, ser.tv, ser.baseline
-                    )
-                ],
-            )
-            print(f"wrote {path}")
+    for label, ser in (("a", rep.liouville), ("b", rep.nonliouville)):
+        rows = [(t, tv, base, args.trials) for t, tv, base
+                in zip(ser.checkpoints, ser.tv, ser.baseline)]
+        _write_out(args, f"liouville_{label}.csv",
+                   csv_text(["steps", "tv", "baseline_tv", "trials"], rows))
     _echo_verdicts(report)
     _write_report(report, args, "liouville")
     return EXIT_OK if report.all_passed else EXIT_VERDICT
@@ -428,10 +383,12 @@ def _reproduce_oscillation(args):
     for p in (1.5, 2.0):
         fixed, moving = [], []
         for R in (4, 6, 8):
-            osc_f, _ = oscillation_probe(
-                G, G.origin, R, p, budget=budget, inner_radius=2
-            )
-            osc_m, en = oscillation_probe(G, G.origin, R, p, budget=budget)
+            # one solve serves the fixed window B_2 and the half-ball
+            g = ball(G, G.origin, R, budget=budget)
+            sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p))
+            osc_f = window_oscillation(g, sol, 2)
+            osc_m = window_oscillation(g, sol, R // 2)
+            en = p_energy(sol, g, p)
             fixed.append((R, osc_f))
             moving.append((R, osc_m))
             print(f"lamplighter p={p} R={R}: fixed-window osc "
@@ -458,26 +415,24 @@ def _reproduce_oscillation(args):
         "oscillation stays above 0.2",
         min(v for _, v in free_vals),
     )
-    line_caps = []
-    for R in (4, 8, 16):
-        cap = annulus_capacity(line_graph(), IntPoint((0,)), 1, R, p=2.0,
-                               budget=budget)
-        line_caps.append((R, cap))
-        print(f"line capacity r=1 R={R}: {fmt_value(cap)}")
-    report.add_series("line_capacity", line_caps)
+
+    def capacities(name, H):
+        caps = []
+        for R in (4, 8, 16):
+            caps.append((R, annulus_capacity(H, H.origin, 1, R, p=2.0,
+                                             budget=budget)))
+            print(f"{name} capacity r=1 R={R}: {fmt_value(caps[-1][1])}")
+        report.add_series(f"{name}_capacity", caps)
+        return caps
+
+    line_caps = capacities("line", line_graph())
     report.add_verdict(
         "line_capacity_closed_form",
         all(abs(c - 2.0 / (R - 1)) <= 1e-8 for R, c in line_caps),
         "matches 2/(R-1) within 1e-8",
         max(abs(c - 2.0 / (R - 1)) for R, c in line_caps),
     )
-    grid_caps = []
-    for R in (4, 8, 16):
-        cap = annulus_capacity(grid_graph(2), IntPoint((0, 0)), 1, R, p=2.0,
-                               budget=budget)
-        grid_caps.append((R, cap))
-        print(f"grid capacity r=1 R={R}: {fmt_value(cap)}")
-    report.add_series("grid_capacity", grid_caps)
+    grid_caps = capacities("grid", grid_graph(2))
     report.add_verdict(
         "grid_capacity_decay",
         grid_caps[0][1] > grid_caps[1][1] > grid_caps[2][1],
@@ -656,12 +611,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        # argparse uses 2 for usage errors already
-        raise
+    # argparse exits with 2 on usage errors itself
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DescriptorError as e:

@@ -101,8 +101,3 @@ def parse_descriptor(desc) -> GraphOracle:
     raise DescriptorError(
         f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
     )
-
-
-def load_descriptor_file(path) -> GraphOracle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_descriptor(json.load(fh))

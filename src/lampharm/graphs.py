@@ -150,14 +150,11 @@ def path_graph(n):
             out.append(IntPoint((x + 1,)))
         return out
 
-    bound = 2 if n >= 3 else (1 if n == 2 else 0)
-    if n == 2:
-        # the one regular path: each endpoint's sole neighbor is the other
-        return GraphOracle(
-            nbrs, IntPoint((0,)), degree_bound=1, name="path(2)",
-            regular_degree=1, step_fn=_flip_step,
-        )
-    return GraphOracle(nbrs, IntPoint((0,)), degree_bound=bound, name=f"path({n})")
+    # path(2) is the one regular path: each endpoint's sole neighbor is
+    # the other
+    regular = dict(regular_degree=1, step_fn=_flip_step) if n == 2 else {}
+    return GraphOracle(nbrs, IntPoint((0,)), degree_bound=min(n - 1, 2),
+                       name=f"path({n})", **regular)
 
 
 def grid_graph(d):
@@ -604,14 +601,17 @@ class FiniteGraph:
     Python lists, built on first use, for Python-loop code. Boundary
     vertices are those with an oracle-neighbor outside `verts` (and, in
     a ball, those on the outer sphere); interior vertices therefore have
-    their full degree represented. A FiniteGraph is not changed once
-    built; it compares and hashes by identity.
+    their full degree represented. A ball also keeps `center_dist`, the
+    distance of each vertex from vertex 0, its center; elsewhere it is
+    None. A FiniteGraph is not changed once built; it compares and
+    hashes by identity.
     """
 
     verts: list
     indptr: np.ndarray
     indices: np.ndarray
     boundary_mask: np.ndarray
+    center_dist: Optional[np.ndarray] = None
 
     @property
     def n(self):
@@ -722,9 +722,9 @@ def _oracle_ball(G, center, nbrs, R, budget):
         indices += _index_row(index, nbrs)
         indptr.append(len(indices))
         nbrs = None
+    dist = np.array(dist, dtype=np.int64)
     return FiniteGraph(verts, np.array(indptr, dtype=np.int64),
-                       np.array(indices, dtype=np.int64),
-                       np.array(dist) == R)
+                       np.array(indices, dtype=np.int64), dist == R, dist)
 
 
 _HASH_SEED = np.uint64(0x243F6A8885A308D3)
@@ -800,7 +800,7 @@ def _array_ball(frame, center, R, budget):
     np.cumsum(np.count_nonzero(nbr >= 0, axis=1), out=indptr[1:])
     dist = np.repeat(np.arange(len(sizes)), sizes)
     return FiniteGraph([center] + frame.decode(rows[1:]), indptr,
-                       nbr[nbr >= 0], dist == R)
+                       nbr[nbr >= 0], dist == R, dist)
 
 
 def induced_on(G, verts):
@@ -855,8 +855,7 @@ def graph_distances(g, sources=0, cutoff=None, allowed=None):
 def ball_sizes(g, R):
     """|B_r| for r = 0..R, read off g = B_R: the vertices within
     distance r of the center are its first |B_r| indices."""
-    dist = graph_distances(g, 0)
-    return np.cumsum(np.bincount(dist, minlength=R + 1)).tolist()
+    return np.cumsum(np.bincount(g.center_dist, minlength=R + 1)).tolist()
 
 
 def end_estimate(G, r, R, budget=None):
@@ -868,19 +867,14 @@ def end_estimate(G, r, R, budget=None):
     moderate scale flags infinitely many ends. Components that do not reach
     the outer sphere are bounded pockets and are discarded.
     """
-    _check_end_radii(r, R)
     return _ends_of_ball(ball(G, G.origin, R, budget=budget), r, R)
-
-
-def _check_end_radii(r, R):
-    if not 0 <= r < R:
-        raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
 
 
 def _ends_of_ball(g, r, R):
     """end_estimate(G, r, R) read off g = B_R of G around its origin."""
-    _check_end_radii(r, R)
-    dist = graph_distances(g, 0)
+    if not 0 <= r < R:
+        raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
+    dist = g.center_dist
     shell = dist > r
     unseen = dist == R
     touching = 0

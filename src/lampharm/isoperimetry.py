@@ -56,17 +56,10 @@ def iso_ratio(set_size, boundary_size, d):
 def is_d_kappa(G, d, family):
     """Max of |F|^((d-1)/d)/|bd F| over the family: a lower bound on any
     constant kappa for which the IS_d inequality could hold on G."""
-    family = list(family)
-    if not family:
-        raise ValueError("witness family is empty")
-    best = 0.0
-    for F in family:
-        F = list(F)
-        if not F:
-            raise ValueError("witness family contains an empty set")
-        b = edge_boundary(G, F)
-        best = max(best, iso_ratio(len(F), b, d))
-    return best
+    family = [list(F) for F in family]
+    if not family or not all(family):
+        raise ValueError("witness family is empty or has an empty set")
+    return max(pt.ratio for pt in iso_profile(G, d, family))
 
 
 def iso_profile(G, d, family):

@@ -28,20 +28,12 @@ class VertexKey:
     def __eq__(self, other):
         return isinstance(other, VertexKey) and self.canon == other.canon
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __lt__(self, other):
         return self.canon < other.canon
 
+    # a > b and a >= b reflect to b < a and b <= a
     def __le__(self, other):
         return self.canon <= other.canon
-
-    def __gt__(self, other):
-        return self.canon > other.canon
-
-    def __ge__(self, other):
-        return self.canon >= other.canon
 
     def __hash__(self):
         return self._hash

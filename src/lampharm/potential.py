@@ -1,18 +1,26 @@
-"""Gradients, p-energy, harmonicity residuals, and Dirichlet solvers.
+"""Gradients, p-energy, p-Laplacian residuals, and Dirichlet solvers.
 
-The p=2 solver is a Jacobi-preconditioned conjugate gradient on the
-interior mean-value equations; convergence is measured by the maximum
-interior mean-value residual. For p != 2 the solver runs exact per-vertex
-coordinate minimization (each interior vertex moves to the unique minimizer
-of its local p-energy, found by bisection on the strictly convex 1-D
-problem); vertices are grouped into independent color classes so a sweep
-is a short sequence of vectorized class updates, and sweeps repeat until
-the relative energy decrease drops below tolerance.
+A solve minimizes sum |f(u) - f(v)|^p over edges given the boundary
+values, and every p stops on one quantity: the normalized p-Laplacian
+residual max_v |sum_w phi(f(v) - f(w))| / deg v over interior v, with
+phi(d) = |d|^(p-2) d, once it is <= max(tolerance, floor). The floor
+max((8 eps M)^(p-1), 8 eps M^(p-1)), M the largest absolute boundary
+value, is what rounding hides; a smaller tolerance means "run to it".
+
+p=2 runs Jacobi-preconditioned conjugate gradients (CG). p != 2 runs
+damped Newton from the p=2 solution on sum (d^2 + eps^2)^(p/2), eps
+shrinking tenfold per stage from a tenth of the boundary span to the
+rounding of the values: the Hessian, a weighted graph Laplacian, goes to
+the same CG, an Armijo search damps each step, and each iterate is
+clamped to the boundary range, so the maximum principle is exact.
+`max_iters` counts CG or Newton steps; running out of them, or a last
+stage that stops making progress, raises NonConvergenceError with the
+residual reached. Each result carries a SolveStats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,9 +34,11 @@ DEFAULT_MAX_ITERS = 1_000_000
 
 @dataclass
 class VertexFunction:
-    """Real values indexed like FiniteGraph.verts."""
+    """Real values indexed like FiniteGraph.verts; a solve's result
+    carries its SolveStats in `stats`."""
 
     values: np.ndarray
+    stats: Optional["SolveStats"] = field(default=None, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -43,7 +53,8 @@ class SolverError(RuntimeError):
 
 
 class NonConvergenceError(SolverError):
-    """Solver hit max_iters; carries the last measured residual."""
+    """A solve ran out of max_iters, or stalled above the floor; carries
+    the residual reached."""
 
     def __init__(self, last_residual, iters):
         self.last_residual = last_residual
@@ -88,15 +99,43 @@ def p_energy(f, g, p):
     return float(np.sum(d**p))
 
 
-def harmonic_residual(f, g):
-    """Max over interior vertices of |f(v) - mean of neighbor values|."""
+def harmonic_residual(f, g, p=2.0):
+    """The normalized p-Laplacian residual: max over interior v of
+    |sum_w phi(f(v) - f(w))| / deg v; at p=2, |f(v) - neighbor mean|."""
     vals = as_values(f, g)
     deg = np.diff(g.indptr)
     interior = np.flatnonzero(~g.boundary_mask & (deg > 0))
     if len(interior) == 0:
         return 0.0
-    sums = np.bincount(g.row_owners(), weights=vals[g.indices], minlength=g.n)
-    return float(np.max(np.abs(vals[interior] - sums[interior] / deg[interior])))
+    owners = g.row_owners()
+    if p == 2.0:
+        sums = np.bincount(owners, weights=vals[g.indices], minlength=g.n)
+        res = vals[interior] - sums[interior] / deg[interior]
+    else:
+        d = vals[owners] - vals[g.indices]
+        flux = np.sign(d) * np.abs(d) ** (p - 1.0)
+        res = np.bincount(owners, weights=flux)[interior] / deg[interior]
+    return float(np.max(np.abs(res)))
+
+
+def residual_floor(m, p):
+    """max((8 eps m)^(p-1), 8 eps m^(p-1)): the residual that rounding
+    hides for values of size m."""
+    u = 8.0 * np.finfo(np.float64).eps
+    return max((u * m) ** (p - 1.0), u * m ** (p - 1.0))
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """How a solve ended. method: "cg", "newton" or "constant" (constant
+    boundary data or no interior); iterations: CG or Newton steps; stop:
+    "tolerance", or "floor" when the tolerance was below the floor;
+    residual: the normalized p-Laplacian residual reached."""
+
+    method: str
+    iterations: int
+    stop: str
+    residual: float
 
 
 @dataclass
@@ -115,13 +154,9 @@ class DirichletProblem:
 
 
 def solve_dirichlet(prob):
-    """Minimize p-energy among functions matching the boundary data.
-
-    For p=2 this solves the interior mean-value equations (max interior
-    mean-value residual <= tolerance). For p != 2, sweeps stop once the
-    relative energy decrease per sweep is <= tolerance. The output attains
-    its extremes on the boundary up to tolerance.
-    """
+    """Minimize p-energy among functions matching the boundary data, to
+    the stop rule of the module docstring. The result stays within the
+    boundary range (up to rounding at p=2) and carries a SolveStats."""
     g = prob.graph
     p = float(prob.p)
     if not (1.0 < p < np.inf):
@@ -143,8 +178,9 @@ def solve_dirichlet(prob):
             raise ValueError(f"non-finite boundary value at {i}")
         f[i] = v
     interior = np.where(~bmask)[0]
+    trivial = SolveStats("constant", 0, "tolerance", 0.0)
     if len(interior) == 0:
-        return VertexFunction(f)
+        return VertexFunction(f, trivial)
     if len(bidx) == 0:
         raise DisconnectedInteriorError("graph has no boundary vertices")
     unreached = np.flatnonzero(graph_distances(g, bidx) < 0)
@@ -156,60 +192,71 @@ def solve_dirichlet(prob):
     if bvals.max() == bvals.min():
         # degenerate problem: the constant is the unique minimizer
         f[:] = bvals[0]
-        return VertexFunction(f)
+        return VertexFunction(f, trivial)
     f[interior] = bvals.mean()
+    floor = residual_floor(float(np.max(np.abs(bvals))), p)
+    stop = max(prob.tolerance, floor)
     if p == 2.0:
-        _solve_p2_cg(g, f, interior, prob.tolerance, prob.max_iters)
+        method = "cg"
+        iters = _solve_p2_cg(g, f, interior, stop, prob.max_iters)
     else:
-        _solve_coordinate(g, f, interior, p, prob.tolerance, prob.max_iters)
-    return VertexFunction(f)
+        method = "newton"
+        iters = _solve_newton(g, f, interior, p, stop, prob.max_iters)
+    reason = "tolerance" if prob.tolerance >= floor else "floor"
+    return VertexFunction(f, SolveStats(method, iters, reason,
+                                        harmonic_residual(f, g, p)))
 
 
-def _solve_p2_cg(g, f, interior, tol, max_iters):
-    n_i = len(interior)
+def _interior_rows(g, interior):
+    """The CSR entries of the interior rows, in row order: the row's
+    interior position, the neighbor, and the neighbor's interior
+    position (-1 on the boundary)."""
     pos = np.full(g.n, -1, dtype=np.int64)
-    pos[interior] = np.arange(n_i)
-    degi = np.diff(g.indptr)[interior].astype(np.float64)
-    # CSR entries of interior rows, in row order: interior-interior
-    # couplings go to the operator, boundary neighbors to the right side
+    pos[interior] = np.arange(len(interior))
     owner = pos[g.row_owners()]
     mine = owner >= 0
-    owner, nbr = owner[mine], g.indices[mine]
-    coupled = pos[nbr] >= 0
-    rows, cols = owner[coupled], pos[nbr[coupled]]
-    b = np.bincount(owner[~coupled], weights=f[nbr[~coupled]], minlength=n_i)
+    nbr = g.indices[mine]
+    return owner[mine], nbr, pos[nbr]
+
+
+def _laplacian(owner, col, n_i, weights=None):
+    """x -> A x and the diagonal of A, the graph Laplacian with per-entry
+    edge weights (1 when None) on the interior rows and columns."""
+    diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
+    coupled = col >= 0
+    rows, cols = owner[coupled], col[coupled]
+    wc = None if weights is None else weights[coupled]
 
     def apply_A(x):
-        y = degi * x
+        y = diag * x
         if len(rows):
-            y -= np.bincount(rows, weights=x[cols], minlength=n_i)
+            xc = x[cols] if wc is None else wc * x[cols]
+            y -= np.bincount(rows, weights=xc, minlength=n_i)
         return y
 
-    x = f[interior].copy()
+    return apply_A, diag
+
+
+def _pcg(apply_A, diag, b, x, stop, max_iters):
+    """Jacobi-preconditioned CG on A x = b, updating x in place until
+    max |b - A x| / diag <= stop or max_iters steps are spent. Returns
+    (steps, last max |r| / diag)."""
     r = b - apply_A(x)
-    z = r / degi
+    z = r / diag
     d = z.copy()
     rz = float(r @ z)
-    # below this the residual is rounding noise; tolerances under it
-    # (including 0) mean "run to numerical stagnation"
-    floor = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(f)))
-    stop = max(tol, floor)
     for it in range(max_iters + 1):
-        res = float(np.max(np.abs(r) / degi))
-        if res <= stop:
-            break
-        if it == max_iters:
-            raise NonConvergenceError(res, it)
+        res = float(np.max(np.abs(r) / diag))
+        if res <= stop or it == max_iters:
+            return it, res
         Ad = apply_A(d)
         dAd = float(d @ Ad)
         if dAd <= 0.0:
             # numerical stagnation: refresh the residual and restart
             r = b - apply_A(x)
-            z = r / degi
+            z = r / diag
             d = z.copy()
             rz = float(r @ z)
-            if float(np.max(np.abs(r) / degi)) <= stop:
-                break
             continue
         alpha = rz / dAd
         x += alpha * d
@@ -217,71 +264,100 @@ def _solve_p2_cg(g, f, interior, tol, max_iters):
             r = b - apply_A(x)
         else:
             r -= alpha * Ad
-        z = r / degi
+        z = r / diag
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
+
+
+def _solve_p2_cg(g, f, interior, stop, max_iters):
+    """CG on the interior mean-value equations, in place on f. Returns
+    the CG steps taken."""
+    owner, nbr, col = _interior_rows(g, interior)
+    fixed = col < 0
+    b = np.bincount(owner[fixed], weights=f[nbr[fixed]],
+                    minlength=len(interior))
+    apply_A, diag = _laplacian(owner, col, len(interior))
+    x = f[interior].copy()
+    it, res = _pcg(apply_A, diag, b, x, stop, max_iters)
+    if res > stop:
+        raise NonConvergenceError(res, it)
     f[interior] = x
+    return it
 
 
-def _greedy_color(g, interior):
-    flat, ptr = g.indices.tolist(), g.indptr.tolist()
-    color = {}
-    for v in interior.tolist():
-        used = {color[w] for w in flat[ptr[v]:ptr[v + 1]] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    n_colors = max(color.values()) + 1
-    return [
-        np.array([v for v in interior if color[v] == c], dtype=np.int64)
-        for c in range(n_colors)
-    ]
+def _solve_newton(g, f, interior, p, stop, max_iters):
+    """Damped Newton on the smoothed p-energy, in place on f. Returns
+    the Newton steps taken."""
+    bvals = f[g.boundary_mask]
+    lo, hi = float(bvals.min()), float(bvals.max())
+    m = max(-lo, hi)
+    _solve_p2_cg(g, f, interior, max(stop, residual_floor(m, 2.0)),
+                 DEFAULT_MAX_ITERS)
+    f[interior] = np.clip(f[interior], lo, hi)
+    owner, nbr, col = _interior_rows(g, interior)
+    n_i = len(interior)
+    deg = np.bincount(owner).astype(float)
+    me = interior[owner]
+    eu, ev = g.edges().T
+    half = p / 2.0
+    rounding = np.finfo(np.float64).eps * m
+    dx = np.zeros(g.n)
 
+    def energy_change(new, eps2):
+        # E_eps(f with interior `new`) - E_eps(f), edge by edge from the
+        # change in d, so that small moves stay exact
+        dx[interior] = new - f[interior]
+        a, s = f[ev] - f[eu], dx[ev] - dx[eu]
+        base = a * a + eps2
+        return float(np.sum(
+            base ** half * np.expm1(half * np.log1p(s * (2.0 * a + s) / base))))
 
-def _solve_coordinate(g, f, interior, p, tol, max_iters):
-    classes = []
-    for cls in _greedy_color(g, interior):
-        start = g.indptr[cls]
-        deg = g.indptr[cls + 1] - start
-        slot = np.arange(deg.max())
-        mask = slot < deg[:, None]
-        nbr = np.zeros(mask.shape, dtype=np.int64)
-        nbr[mask] = g.indices[(start[:, None] + slot)[mask]]
-        classes.append((cls, nbr, mask))
-
-    e = g.edges()
-    eu, ev = e[:, 0], e[:, 1]
-
-    def energy():
-        return float(np.sum(np.abs(f[ev] - f[eu]) ** p))
-
-    q = p - 1.0
-    E = energy()
-    for sweep in range(max_iters + 1):
-        if E == 0.0:
-            return
-        if sweep == max_iters:
-            raise NonConvergenceError(E, sweep)
-        for cls, nbr, mask in classes:
-            nv = f[nbr]
-            lo = np.where(mask, nv, np.inf).min(axis=1)
-            hi = np.where(mask, nv, -np.inf).max(axis=1)
-            # bisection on the strictly increasing subgradient sum; 64
-            # halvings take the bracket to floating-point stagnation
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                d = mid[:, None] - nv
-                s = np.where(mask, np.sign(d) * np.abs(d) ** q, 0.0).sum(axis=1)
-                above = s > 0.0
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
-            f[cls] = 0.5 * (lo + hi)
-        E_new = energy()
-        if E - E_new <= tol * E:
-            return
-        E = E_new
+    steps = 0
+    eps = 0.1 * (hi - lo)
+    while True:
+        # a stage runs Newton on E_eps until its gradient is small; a
+        # failed line search, or 8 steps without halving the gradient,
+        # ends the stage, and in the last stage the solve
+        eps2 = eps * eps
+        last = eps < 10.0 * rounding
+        target = max(stop, 0.1 * eps ** (p - 1.0))
+        best, since = np.inf, 0
+        while True:
+            res = harmonic_residual(f, g, p)
+            if res <= stop:
+                return steps
+            d = f[me] - f[nbr]
+            s2 = d * d + eps2
+            grad = np.bincount(owner, weights=s2 ** (half - 1.0) * d)
+            gres = float(np.max(np.abs(grad) / deg))
+            if gres <= target and not last:
+                break
+            best, since = (gres, 0) if gres < 0.5 * best else (best, since + 1)
+            if steps == max_iters:
+                raise NonConvergenceError(res, steps)
+            t = 0.0
+            if since < 8:
+                steps += 1
+                apply_H, diag = _laplacian(
+                    owner, col, n_i,
+                    s2 ** (half - 2.0) * ((p - 1.0) * d * d + eps2))
+                step = np.zeros(n_i)
+                _pcg(apply_H, diag, -grad, step,
+                     1e-9 * float(np.max(np.abs(grad) / diag)), 4 * n_i)
+                slope = 1e-4 * p * float(grad @ step)
+                t = 1.0
+                while t >= 1e-12:
+                    new = np.clip(f[interior] + t * step, lo, hi)
+                    if energy_change(new, eps2) <= t * slope:
+                        break
+                    t *= 0.5
+            if t < 1e-12:
+                if last:
+                    raise NonConvergenceError(res, steps)
+                break
+            f[interior] = new
+        eps *= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -315,44 +391,40 @@ SPLIT_RULES = {"sign": split_by_sign}
 # probes
 
 
-def annulus_capacity(
-    G,
-    center,
-    r,
-    R,
-    p,
-    tolerance=DEFAULT_TOLERANCE,
-    max_iters=DEFAULT_MAX_ITERS,
-    budget=None,
-):
+def annulus_capacity(G, center, r, R, p, tolerance=DEFAULT_TOLERANCE,
+                     max_iters=DEFAULT_MAX_ITERS, budget=None):
     """p-energy of the Dirichlet solution on B_R that is 1 on B_r and 0 on
     the boundary of B_R. Non-increasing in R, non-decreasing in r."""
     if not 0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
     g = ball(G, center, R, budget=budget)
-    dist = graph_distances(g, 0)
-    inner = dist <= r
-    outer = g.boundary_mask
-    mask = inner | outer
+    inner = g.center_dist <= r
+    mask = inner | g.boundary_mask
     g2 = replace(g, boundary_mask=mask)
     bvals = {int(i): (1.0 if inner[i] else 0.0) for i in np.where(mask)[0]}
-    sol = solve_dirichlet(
-        DirichletProblem(g2, bvals, p=p, tolerance=tolerance, max_iters=max_iters)
-    )
+    sol = solve_dirichlet(DirichletProblem(
+        g2, bvals, p=p, tolerance=tolerance, max_iters=max_iters))
     return p_energy(sol, g2, p)
 
 
-def oscillation_probe(
-    G,
-    center,
-    R,
-    p,
-    split="sign",
-    tolerance=DEFAULT_TOLERANCE,
-    max_iters=DEFAULT_MAX_ITERS,
-    budget=None,
-    inner_radius: Optional[int] = None,
-):
+def split_values(g, split="sign"):
+    """Boundary data on g from a split: a rule name from SPLIT_RULES or a
+    callable key -> {0, 1}."""
+    rule = SPLIT_RULES[split] if isinstance(split, str) else split
+    return {int(i): float(rule(g.verts[i]))
+            for i in np.flatnonzero(g.boundary_mask)}
+
+
+def window_oscillation(g, f, r):
+    """max - min of f over B_r, the vertices of the ball g within
+    distance r of its center."""
+    inner = as_values(f, g)[g.center_dist <= r]
+    return float(inner.max() - inner.min())
+
+
+def oscillation_probe(G, center, R, p, split="sign",
+                      tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS,
+                      budget=None, inner_radius: Optional[int] = None):
     """Harmonic extension of a two-valued boundary split on B_R.
 
     Returns (oscillation of the solution over the inner ball, p-energy of
@@ -360,19 +432,13 @@ def oscillation_probe(
     inner_radius across a family of growing R probes how the solution
     homogenizes on a fixed window as the boundary recedes, which is the
     quantity that decays when finite-energy harmonic functions are
-    constant. The split is a rule name from SPLIT_RULES or a callable
-    key -> {0, 1}.
+    constant. The split is as in split_values.
     """
     g = ball(G, center, R, budget=budget)
-    rule = SPLIT_RULES[split] if isinstance(split, str) else split
-    bidx = np.where(g.boundary_mask)[0]
-    bvals = {int(i): float(rule(g.verts[i])) for i in bidx}
-    sol = solve_dirichlet(
-        DirichletProblem(g, bvals, p=p, tolerance=tolerance, max_iters=max_iters)
-    )
+    sol = solve_dirichlet(DirichletProblem(
+        g, split_values(g, split), p=p, tolerance=tolerance,
+        max_iters=max_iters))
     rin = R // 2 if inner_radius is None else inner_radius
     if not 0 <= rin <= R:
         raise ValueError(f"inner radius {rin} outside [0, {R}]")
-    dist = graph_distances(g, 0)
-    inner = sol.values[dist <= rin]
-    return float(inner.max() - inner.min()), p_energy(sol, g, p)
+    return window_oscillation(g, sol, rin), p_energy(sol, g, p)

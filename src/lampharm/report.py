@@ -70,12 +70,16 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header, rows):
-    """Plain CSV with the fixed float format; returns the text written."""
+def csv_text(header, rows):
+    """Plain CSV with the fixed float format."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    lines += [",".join(fmt_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows):
+    """Write csv_text(header, rows) to path; returns the text written."""
+    text = csv_text(header, rows)
     with open(path, "w") as fh:
         fh.write(text)
     return text

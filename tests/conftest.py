@@ -1,4 +1,13 @@
+import importlib.util
+import os
+import sys
+
+import pytest
+
 import _acceptance_log
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "perfbench")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -6,3 +15,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in _acceptance_log.LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def load_perfbench(monkeypatch):
+    """load(name) runs perfbench/<name>.py as it is and returns the
+    module, writing no bytecode next to it."""
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"_perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -6,32 +6,16 @@ around one small probe, so renaming a hooked name fails here instead of
 breaking `perfbench/run.py --trace 1`."""
 
 import dataclasses
-import importlib.util
-import os
-import sys
 
 import lampharm.cli  # noqa: F401  (the hooks wrap cli.main too)
 from lampharm import graphs, potential
 from lampharm.graphs import lamplighter, line_graph, path_graph
 from lampharm.keys import IntPoint
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                         "perfbench")
 
-
-def _load(name, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        f"_perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_trace_hooks_and_residual_checker_fit_the_package(monkeypatch):
-    instrument = _load("instrument", monkeypatch)
-    residual = _load("residual", monkeypatch)
+def test_trace_hooks_and_residual_checker_fit_the_package(load_perfbench):
+    instrument = load_perfbench("instrument")
+    residual = load_perfbench("residual")
     original_ball = graphs.ball
     # the oracle path, which calls neighbors once per ball vertex
     G = dataclasses.replace(

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from lampharm.cli import main
+from lampharm.potential import residual_floor
 
 LAMP = (
     '{"family": "lamplighter", "lamp": {"family": "path", "n": 2}, '
@@ -67,6 +68,18 @@ def test_solve_writes_report(tmp_path, capsys):
     rep = json.loads((tmp_path / "solve.json").read_text())
     assert rep["manifest"]["command"] == "solve"
     assert "solution_summary" in rep["series"]
+
+
+def test_solve_reports_the_p_laplacian_residual(tmp_path, capsys):
+    # at p != 2 the reported residual is the p-Laplacian one that the
+    # solver stops on, not the p=2 mean-value residual
+    code = main(["solve", "--descriptor", LAMP, "--radius", "4",
+                 "--p", "1.5", "--out-dir", str(tmp_path)])
+    assert code == 0
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert sol["residual"] <= residual_floor(1.0, 1.5)
+    rep = json.loads((tmp_path / "solve.json").read_text())
+    assert rep["series"]["solution_summary"][0] == ["residual", sol["residual"]]
 
 
 def test_capacity_line_closed_form(capsys):

@@ -380,6 +380,9 @@ def _assert_same_ball(G, center, R):
     slow = ball(dataclasses.replace(G, walk_encoding=None), center, R)
     assert fast.indptr.dtype == fast.indices.dtype == np.int64
     assert _canon_ball(fast) == _canon_ball(slow)
+    # both paths keep the center distances their BFS computed
+    assert (fast.center_dist.tolist() == slow.center_dist.tolist()
+            == graph_distances(fast, 0).tolist())
 
 
 def _lit(root, pos, sites):

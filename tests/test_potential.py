@@ -23,6 +23,7 @@ from lampharm.potential import (
     harmonic_residual,
     oscillation_probe,
     p_energy,
+    residual_floor,
     sign_projection,
     solve_dirichlet,
     split_by_sign,
@@ -264,3 +265,137 @@ def test_free_group_oscillation_does_not_vanish():
     osc5, _ = oscillation_probe(free_group_graph(2), WordKey(()), 5, 2.0)
     assert osc3 > 0.2
     assert osc5 > 0.2
+
+
+# ---------------------------------------------------------------------------
+# p != 2: independent oracles for the Newton solver
+
+
+@pytest.fixture
+def p_residual(load_perfbench):
+    """The benchmark's residual checker, which shares no solver code:
+    (problem, solution) -> normalized p-Laplacian residual."""
+    check = load_perfbench("residual").p_laplacian_residual
+    return lambda prob, sol: check(prob.graph.adj, prob.graph.boundary_mask,
+                                   sol.values, prob.p)
+
+
+def _stop(prob):
+    b = np.abs(list(prob.boundary_values.values()))
+    return max(prob.tolerance, residual_floor(float(b.max()), prob.p))
+
+
+def _bisect_root(F, lo, hi):
+    # F is increasing on [lo, hi] and changes sign there
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if F(mid) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_star_center_is_the_scalar_root(p, seed):
+    # a center joined to k boundary leaves: the p-harmonic center value x
+    # is the root of sum_i phi(x - b_i), phi(d) = |d|^(p-2) d
+    rng = np.random.default_rng(seed)
+    k = 3 + 2 * seed
+    b = rng.normal(size=k)
+    g = FiniteGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)],
+                               boundary=range(1, k + 1))
+    bvals = {i: float(v) for i, v in enumerate(b, start=1)}
+    x = _bisect_root(
+        lambda x: float(np.sum(np.sign(x - b) * np.abs(x - b) ** (p - 1))),
+        b.min(), b.max())
+    sol = solve_dirichlet(DirichletProblem(g, bvals, p=p, tolerance=0.0))
+    assert sol.values[0] == pytest.approx(x, abs=1e-9)
+    assert sol.stats.method == "newton"
+
+
+def _lamp_sign_split(R):
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    g = ball(G, G.origin, R)
+    return g, {int(i): float(split_by_sign(g.verts[i]))
+               for i in np.where(g.boundary_mask)[0]}
+
+
+def _criterion_3_instances():
+    # the random instances of acceptance criterion 3, drawn the same way
+    rng = random.Random(33)
+    nrng = np.random.default_rng(33)
+    for _ in range(15):
+        g = _random_connected(rng, rng.randrange(8, 60))
+        bidx = np.where(g.boundary_mask)[0]
+        yield g, {int(i): float(v)
+                  for i, v in zip(bidx, nrng.normal(size=len(bidx)))}
+        rng.choice([1.5, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_newton_reaches_the_stop_rule(p, p_residual):
+    cases = [_lamp_sign_split(R) for R in (4, 6, 8)]
+    cases += list(_criterion_3_instances())
+    for g, bvals in cases:
+        prob = DirichletProblem(g, bvals, p=p)
+        sol = solve_dirichlet(prob)
+        r = p_residual(prob, sol)
+        assert r <= _stop(prob)
+        assert sol.stats.residual == pytest.approx(r, rel=1e-9, abs=1e-15)
+        lo, hi = min(bvals.values()), max(bvals.values())
+        assert lo <= sol.values.min() and sol.values.max() <= hi
+
+
+def test_solve_stats_report_the_checked_residual(p_residual):
+    g, bvals = _lamp_sign_split(6)
+    for p, method in ((2.0, "cg"), (1.5, "newton"), (3.0, "newton")):
+        for tol in (1e-6, 0.0):
+            prob = DirichletProblem(g, bvals, p=p, tolerance=tol)
+            sol = solve_dirichlet(prob)
+            st = sol.stats
+            assert (st.method, st.stop) == (
+                method, "tolerance" if tol else "floor")
+            assert st.iterations > 0
+            r = p_residual(prob, sol)
+            assert st.residual == pytest.approx(r, rel=1e-6, abs=1e-15)
+            assert r <= _stop(prob)
+            assert harmonic_residual(sol, g, p) == pytest.approx(
+                r, rel=1e-6, abs=1e-15)
+
+
+def test_constant_and_trivial_solves_report_stats():
+    g = ball(grid_graph(2), IntPoint((0, 0)), 3)
+    bvals = {int(i): 4.25 for i in np.where(g.boundary_mask)[0]}
+    st = solve_dirichlet(DirichletProblem(g, bvals, p=1.5)).stats
+    assert (st.method, st.iterations, st.residual) == ("constant", 0, 0.0)
+    edge = FiniteGraph.from_edges(2, [(0, 1)], boundary=[0, 1])
+    st = solve_dirichlet(DirichletProblem(edge, {0: 0.0, 1: 1.0})).stats
+    assert (st.method, st.iterations, st.residual) == ("constant", 0, 0.0)
+
+
+def test_newton_max_iters_counts_newton_steps():
+    g, bvals = _lamp_sign_split(6)
+    with pytest.raises(NonConvergenceError) as e:
+        solve_dirichlet(DirichletProblem(g, bvals, p=1.5, max_iters=2))
+    assert e.value.iters == 2
+    assert e.value.last_residual > residual_floor(1.0, 1.5)
+
+
+def test_residual_floor_formula():
+    # at p=2 the floor is the CG's 8 eps M
+    eps = np.finfo(np.float64).eps
+    assert residual_floor(3.0, 2.0) == 8.0 * eps * 3.0
+    assert residual_floor(1.0, 1.5) == pytest.approx(np.sqrt(8.0 * eps))
+    assert residual_floor(2.0, 3.0) == pytest.approx(8.0 * eps * 4.0)
+
+
+@pytest.mark.parametrize("seed", [164, 198])
+def test_newton_last_stage_reaches_the_floor(seed, p_residual):
+    # small p-1 makes these instances need the last stage, whose eps is
+    # at the rounding of the values
+    rng = random.Random(seed)
+    g = _random_connected(rng, rng.randrange(8, 30))
+    bvals = {int(i): rng.uniform(-1, 1) for i in np.where(g.boundary_mask)[0]}
+    prob = DirichletProblem(g, bvals, p=1.3, tolerance=0.0)
+    sol = solve_dirichlet(prob)
+    assert sol.stats.stop == "floor"
+    assert p_residual(prob, sol) <= _stop(prob)
