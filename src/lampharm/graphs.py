@@ -62,15 +62,16 @@ class GraphOracle:
 
     `walk_encoding` is set only by the family constructors that have an
     array form of their vertices (the lamplighter of path(2) over the
-    line, the free groups, the line and the grids).
+    line, the free groups, the line, the grids and the caterpillar).
     `walk_encoding(starts, steps)` returns a WalkFrame that encodes every
     vertex within `steps` moves of the starts as one numpy row. Walks
     use `spawn(start, n)` (the state of n walkers at `start`),
-    `move(state, who, u)` (walker who[j] goes to its step_fn neighbor
-    number int(u[j] * regular_degree)) and `labels(state)` (one bytes
-    label per walker, equal iff two walkers stand on the same vertex);
-    `ball` uses `ball_rows`, `expand` and `decode` (see WalkFrame).
-    `row_bytes` is the size of one row.
+    `move(state, who, u)` (walker who[j] at v goes to its step_fn
+    neighbor number int(u[j] * regular_degree), or on an irregular
+    family to neighbors(v)[int(u[j] * deg v)]) and `labels(state)` (one
+    bytes label per walker, equal iff two walkers stand on the same
+    vertex); `ball` uses `ball_rows`, `expand` and `decode` (see
+    WalkFrame). `row_bytes` is the size of one row.
     """
 
     neighbors: Callable[[VertexKey], list]
@@ -205,7 +206,8 @@ def caterpillar_graph():
         raise InvalidVertexError(f"not a caterpillar vertex: {v!r}")
 
     return GraphOracle(
-        nbrs, IntPoint((0, 0)), degree_bound=3, name="caterpillar"
+        nbrs, IntPoint((0, 0)), degree_bound=3, name="caterpillar",
+        walk_encoding=lambda starts, steps: _CaterpillarFrame(2, starts, steps),
     )
 
 
@@ -427,6 +429,10 @@ class WalkFrame:
     neighbors, in sorted vertex-key order, where the choice is valid)
     and a boolean mask of the valid choices, or None when all are; and
     `decode(rows)` gives the vertex keys.
+
+    Column 0 of a vertex's row is its key's potential.sign_projection:
+    the first coordinate, the lamplighter's base position, or a word's
+    first letter (0 for the identity), so the sign split reads the rows.
     """
 
     def labels(self, state):
@@ -466,6 +472,30 @@ class _IntFrame(WalkFrame):
 
     def decode(self, rows):
         return [_raw_point(tuple(r)) for r in rows.tolist()]
+
+
+class _CaterpillarFrame(_IntFrame):
+    """Walkers on the caterpillar as rows (n, t), t = 1 on a leaf. A
+    spine vertex's choices are its sorted neighbors left, leaf, right,
+    for walks and balls alike; a leaf's one choice is its spine vertex."""
+
+    _DN = np.array([-1, 0, 1], dtype=np.int64)
+
+    def move(self, state, who, u):
+        choice = (u * 3).astype(np.intp)
+        spine = state[who, 1] == 0
+        state[who, 0] += np.where(spine, self._DN[choice], 0)
+        state[who, 1] = spine & (choice == 1)
+
+    def expand(self, rows):
+        spine = rows[:, 1] == 0
+        out = np.repeat(rows[:, None, :], 3, axis=1)
+        out[:, :, 0] += np.where(spine[:, None], self._DN, 0)
+        out[:, :, 1] = 0
+        out[:, 1, 1] = spine
+        valid = np.ones((len(rows), 3), dtype=bool)
+        valid[~spine, 1:] = False
+        return out.reshape(-1, 2), valid.ravel()
 
 
 class _LampLineFrame(WalkFrame):
@@ -595,27 +625,38 @@ class _WordFrame(WalkFrame):
 class FiniteGraph:
     """Materialized induced subgraph with boundary marking.
 
-    Vertices carry a stable index. The adjacency is stored once, as int64
-    CSR arrays: the neighbors of vertex v are the sorted indices
-    `indices[indptr[v]:indptr[v + 1]]`. `adj` gives the same rows as
-    Python lists, built on first use, for Python-loop code. Boundary
-    vertices are those with an oracle-neighbor outside `verts` (and, in
-    a ball, those on the outer sphere); interior vertices therefore have
-    their full degree represented. A ball also keeps `center_dist`, the
+    Vertices carry a stable index; `verts[i]` is vertex i's key. The
+    adjacency is stored once, as int64 CSR arrays: the neighbors of
+    vertex v are the sorted indices `indices[indptr[v]:indptr[v + 1]]`,
+    and `n` is read off `indptr`. `adj` gives the same rows as Python
+    lists, built on first use, for Python-loop code. Boundary vertices
+    are those with an oracle-neighbor outside `verts` (and, in a ball,
+    those on the outer sphere); interior vertices therefore have their
+    full degree represented. A ball also keeps `center_dist`, the
     distance of each vertex from vertex 0, its center; elsewhere it is
-    None. A FiniteGraph is not changed once built; it compares and
-    hashes by identity.
+    None. A ball built on a WalkFrame keeps its `rows` (row i encodes
+    vertex i) and `frame` instead of keys, and decodes `verts` on first
+    read; the solvers and probes never read it. A FiniteGraph is not
+    changed once built; it compares and hashes by identity.
     """
 
-    verts: list
+    _verts: Optional[list]
     indptr: np.ndarray
     indices: np.ndarray
     boundary_mask: np.ndarray
     center_dist: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+    frame: Optional[WalkFrame] = None
+
+    @property
+    def verts(self):
+        if self._verts is None:
+            self._verts = self.frame.decode(self.rows)
+        return self._verts
 
     @property
     def n(self):
-        return len(self.verts)
+        return len(self.indptr) - 1
 
     @cached_property
     def adj(self):
@@ -681,7 +722,8 @@ def ball(G, center, R, budget=None):
     (default DEFAULT_VERTEX_BUDGET).
 
     On oracles with an array frame (see array_frame) the BFS runs on the
-    frame's rows and calls G.neighbors once, on the center, to vet it.
+    frame's rows and calls G.neighbors once, on the center, to vet it;
+    the graph keeps the rows and decodes keys only when `verts` is read.
     Elsewhere it calls G.neighbors once per vertex: the list both
     discovers new vertices (below radius R) and gives the vertex's row.
     Both give the same FiniteGraph.
@@ -746,61 +788,60 @@ def _row_hash(rows):
     return h
 
 
-def _lookup(keys, where, h):
-    """where[i] for each hash in `h` equal to the sorted keys[i], else -1."""
-    i = np.minimum(np.searchsorted(keys, h), len(keys) - 1)
-    return np.where(keys[i] == h, where[i], -1)
-
-
 def _array_ball(frame, center, R, budget):
     """ball on a frame's rows, or None where the frame cannot stand in
     for the oracle: a center it does not encode exactly, or two distinct
-    rows with one hash. Each layer expands the frontier rows by every
-    choice and keeps the first occurrence of each row not seen before;
-    then one lookup of every vertex's neighbor rows gives the CSR rows.
+    rows with one hash. Each layer expands its rows by every choice. A
+    vertex's neighbors lie in its own layer or next to it, so one sort
+    of the hashes of the two last layers and of the choices groups each
+    choice with its equal rows: a group holding a numbered vertex is
+    that neighbor, and below radius R every other group is a vertex of
+    the next layer, numbered in order of first occurrence. The layers'
+    choices so give every vertex's CSR row.
     """
     rows = frame.ball_rows(center)
     if frame.decode(rows) != [center]:
         return None
-    keys, where = _row_hash(rows), np.zeros(1, dtype=np.int64)
-    sizes = [1]
-    frontier = rows
-    for _ in range(R):
-        cand, valid = frame.expand(frontier)
-        if valid is not None:
-            cand = cand[valid]
-        h = _row_hash(cand)
-        seen = _lookup(keys, where, h)
-        known = seen >= 0
-        if not np.array_equal(rows[seen[known]], cand[known]):
+    layers, hashes, nbrs, n = [rows], [_row_hash(rows)], [], 1
+    for r in range(R + 1):
+        # the two last layers, numbered from n - m; their hashes are
+        # distinct, so a group holds at most one of their rows, first
+        near = np.concatenate(layers[-2:])
+        m = len(near)
+        cand, valid = frame.expand(layers[-1])
+        keep = slice(None) if valid is None else valid
+        both = np.concatenate([near, cand[keep]])
+        h = np.concatenate(hashes[-2:] + [_row_hash(both[m:])])
+        perm = np.argsort(h)
+        hs = h[perm]
+        start = np.concatenate([[True], hs[1:] != hs[:-1]])
+        # rep[i]: the lowest index in i's group
+        rep = np.empty_like(perm)
+        rep[perm] = np.minimum.reduceat(perm, np.flatnonzero(start))[
+            np.cumsum(start) - 1]
+        if not np.array_equal(both[rep[m:]], both[m:]):
             return None
-        cand, h = cand[~known], h[~known]
-        _, first, back = np.unique(h, return_index=True, return_inverse=True)
-        if not np.array_equal(cand[first[back]], cand):
-            return None
-        first.sort()
-        if len(rows) + len(first) > budget:
-            raise BudgetExceededError(max(budget, 1), budget)
-        frontier = cand[first]
-        keys = np.concatenate([keys, h[first]])
-        where = np.concatenate([where, len(rows) + np.arange(len(first))])
-        order = np.argsort(keys, kind="stable")
-        keys, where = keys[order], where[order]
-        rows = np.concatenate([rows, frontier])
-        sizes.append(len(first))
-    cand, valid = frame.expand(rows)
-    nbr = _lookup(keys, where, _row_hash(cand))
-    if valid is not None:
-        nbr[~valid] = -1
-    hit = nbr >= 0
-    if not np.array_equal(rows[nbr[hit]], cand[hit]):
-        return None
-    nbr = np.sort(nbr.reshape(len(rows), -1), axis=1)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        fresh = m + np.flatnonzero(rep[m:] == np.arange(m, len(h)))
+        # vertex numbers, read through rep: a group's first row holds its
+        # number, -1 off the ball
+        number = np.arange(n - m, n - m + len(h))
+        number[m:] = -1
+        if r < R:
+            if n + len(fresh) > budget:
+                raise BudgetExceededError(max(budget, 1), budget)
+            number[fresh] = np.arange(n, n + len(fresh))
+            layers.append(both[fresh])
+            hashes.append(h[fresh])
+            n += len(fresh)
+        nbr = np.full(len(cand), -1, dtype=np.int64)
+        nbr[keep] = number[rep[m:]]
+        nbrs.append(nbr)
+    nbr = np.sort(np.concatenate(nbrs).reshape(n, -1), axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(nbr >= 0, axis=1), out=indptr[1:])
-    dist = np.repeat(np.arange(len(sizes)), sizes)
-    return FiniteGraph([center] + frame.decode(rows[1:]), indptr,
-                       nbr[nbr >= 0], dist == R, dist)
+    dist = np.repeat(np.arange(R + 1), [len(x) for x in layers])
+    return FiniteGraph(None, indptr, nbr[nbr >= 0], dist == R, dist,
+                       np.concatenate(layers), frame)
 
 
 def induced_on(G, verts):

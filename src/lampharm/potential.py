@@ -165,29 +165,38 @@ def solve_dirichlet(prob):
             "(p=1 has non-unique minimizers; energy evaluation still works)"
         )
     bmask = g.boundary_mask
-    bidx = np.where(bmask)[0]
-    if set(prob.boundary_values) != set(int(i) for i in bidx):
+    bidx = np.flatnonzero(bmask)
+    data = prob.boundary_values
+    try:
+        keys = np.fromiter(data, dtype=np.float64, count=len(data))
+        order = np.argsort(keys)
+        total = np.array_equal(keys[order], bidx)
+    except (TypeError, ValueError):
+        total = False
+    if not total:
         raise ValueError(
             "boundary data must be total: keys must be exactly the "
             "boundary-flagged vertex indices"
         )
     f = np.zeros(g.n)
-    for i in bidx:
-        v = float(prob.boundary_values[int(i)])
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite boundary value at {i}")
-        f[i] = v
-    interior = np.where(~bmask)[0]
+    f[bidx] = np.fromiter(data.values(), dtype=np.float64,
+                          count=len(data))[order]
+    bad = np.flatnonzero(~np.isfinite(f[bidx]))
+    if len(bad):
+        raise ValueError(f"non-finite boundary value at {bidx[bad[0]]}")
+    interior = np.flatnonzero(~bmask)
     trivial = SolveStats("constant", 0, "tolerance", 0.0)
     if len(interior) == 0:
         return VertexFunction(f, trivial)
     if len(bidx) == 0:
         raise DisconnectedInteriorError("graph has no boundary vertices")
-    unreached = np.flatnonzero(graph_distances(g, bidx) < 0)
-    if len(unreached):
-        raise DisconnectedInteriorError(
-            f"interior vertex {unreached[0]} has no path to the boundary"
-        )
+    # a ball (center_dist set) is connected: every vertex reaches bidx
+    if g.center_dist is None:
+        unreached = np.flatnonzero(graph_distances(g, bidx) < 0)
+        if len(unreached):
+            raise DisconnectedInteriorError(
+                f"interior vertex {unreached[0]} has no path to the boundary"
+            )
     bvals = f[bidx]
     if bvals.max() == bvals.min():
         # degenerate problem: the constant is the unique minimizer
@@ -401,7 +410,8 @@ def annulus_capacity(G, center, r, R, p, tolerance=DEFAULT_TOLERANCE,
     inner = g.center_dist <= r
     mask = inner | g.boundary_mask
     g2 = replace(g, boundary_mask=mask)
-    bvals = {int(i): (1.0 if inner[i] else 0.0) for i in np.where(mask)[0]}
+    idx = np.flatnonzero(mask)
+    bvals = dict(zip(idx.tolist(), inner[idx].astype(float).tolist()))
     sol = solve_dirichlet(DirichletProblem(
         g2, bvals, p=p, tolerance=tolerance, max_iters=max_iters))
     return p_energy(sol, g2, p)
@@ -409,10 +419,15 @@ def annulus_capacity(G, center, r, R, p, tolerance=DEFAULT_TOLERANCE,
 
 def split_values(g, split="sign"):
     """Boundary data on g from a split: a rule name from SPLIT_RULES or a
-    callable key -> {0, 1}."""
+    callable key -> {0, 1}. The sign rule on a ball that keeps its frame
+    rows reads the projection off their column 0 (see graphs.WalkFrame)
+    and decodes no key."""
+    bidx = np.flatnonzero(g.boundary_mask)
+    if split == "sign" and g.rows is not None:
+        side = (g.rows[bidx, 0] >= 0).astype(float)
+        return dict(zip(bidx.tolist(), side.tolist()))
     rule = SPLIT_RULES[split] if isinstance(split, str) else split
-    return {int(i): float(rule(g.verts[i]))
-            for i in np.flatnonzero(g.boundary_mask)}
+    return {int(i): float(rule(g.verts[i])) for i in bidx}
 
 
 def window_oscillation(g, f, r):

@@ -10,15 +10,16 @@ engine, which steps whole batches of walkers as numpy arrays.
 
 walk_series takes the array engine on oracles that carry a
 `walk_encoding`: the lamplighter of path(2) over the line, the free
-groups, the line and the grids. It draws from the generator exactly as
-the object engine does (per batch of BATCH_TRIALS walkers and per step,
-one rng.random(batch) for laziness unless laziness is 0, then one
-rng.random(movers) whose value u picks step_fn neighbor
-int(u * regular_degree)), so every walker follows the same trajectory on
-either engine. simulate_walks, every other oracle, and walks whose
-array rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp far from the
-starts, say) or whose coordinates could leave int64 run the object
-engine (see graphs.array_frame).
+groups, the line, the grids and the caterpillar. It draws from the
+generator exactly as the object engine does (per batch of BATCH_TRIALS
+walkers and per step, one rng.random(batch) for laziness unless
+laziness is 0, then one rng.random(movers) whose value u picks step_fn
+neighbor int(u * regular_degree), or on the irregular caterpillar
+neighbors(v)[int(u * deg v)]), so every walker follows the same
+trajectory on either engine. simulate_walks, every other oracle, and
+walks whose array rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp
+far from the starts, say) or whose coordinates could leave int64 run the
+object engine (see graphs.array_frame).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import _acceptance_log
+from lampharm.graphs import array_frame
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "perfbench")
@@ -32,3 +33,23 @@ def load_perfbench(monkeypatch):
         return module
 
     return load
+
+
+@pytest.fixture
+def decoded_rows(monkeypatch):
+    """count(G) wraps the `decode` of G's array frame class and returns
+    the list that records the number of rows of each call."""
+
+    def count(G):
+        cls = type(array_frame(G, (G.origin,), 1))
+        calls = []
+        original = cls.decode
+
+        def decode(self, rows):
+            calls.append(len(rows))
+            return original(self, rows)
+
+        monkeypatch.setattr(cls, "decode", decode)
+        return calls
+
+    return count

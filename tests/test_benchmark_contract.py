@@ -25,6 +25,9 @@ def test_trace_hooks_and_residual_checker_fit_the_package(load_perfbench):
     with instrument.instrumented(rec, tracer):
         osc, _ = potential.oscillation_probe(G, G.origin, 4, 2.0,
                                              inner_radius=2)
+        # a probe's solve skips the reachability BFS on a ball, so the
+        # graph_distances hook is exercised directly
+        graphs.graph_distances(graphs.FiniteGraph.from_edges(2, [(0, 1)]), 0)
     assert graphs.ball is original_ball
     assert 0.0 <= osc <= 1.0
 

@@ -24,6 +24,7 @@ from lampharm.graphs import (
     path_graph,
 )
 from lampharm.keys import IntPoint, LampKey, PairKey, WordKey, format_key
+from lampharm.potential import split_values
 
 
 def test_line_neighbors():
@@ -414,6 +415,9 @@ _ARRAY_FAMILIES = [
     (grid_graph(2), IntPoint((-3, 4))),
     (grid_graph(3), None),
     (grid_graph(3), IntPoint((2, -1, 5))),
+    (caterpillar_graph(), None),
+    (caterpillar_graph(), IntPoint((3, 1))),
+    (caterpillar_graph(), IntPoint((-2, 0))),
 ]
 
 
@@ -423,8 +427,30 @@ _ARRAY_FAMILIES = [
          for G, c in _ARRAY_FAMILIES])
 def test_array_ball_matches_oracle_ball(G, center):
     assert G.walk_encoding is not None
+    center = G.origin if center is None else center
+    oracle = dataclasses.replace(G, walk_encoding=None)
     for R in range(7):
-        _assert_same_ball(G, G.origin if center is None else center, R)
+        _assert_same_ball(G, center, R)
+        # the sign split read off the rows equals the one of the keys
+        fast = ball(G, center, R)
+        assert fast.rows is not None
+        assert split_values(fast) == split_values(ball(oracle, center, R))
+
+
+@pytest.mark.parametrize("G", [G for G, c in _ARRAY_FAMILIES if c is None],
+                         ids=lambda G: G.name)
+def test_array_ball_decodes_keys_only_when_read(G, decoded_rows):
+    decoded = decoded_rows(G)
+    g = ball(G, G.origin, 4)
+    # the center's one row is decoded to vet it, and nothing else
+    assert decoded == [1]
+    assert g.n == len(g.indptr) - 1 == len(g.rows)
+    g2 = dataclasses.replace(g, boundary_mask=~g.boundary_mask)
+    assert g2.rows is g.rows and g2.frame is g.frame
+    assert decoded == [1]
+    # decoded once on first read, then kept
+    assert g2.verts is g2.verts
+    assert decoded == [1, g.n]
 
 
 @pytest.mark.parametrize("G, R", [

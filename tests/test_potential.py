@@ -181,18 +181,50 @@ def test_constant_boundary_shortcut():
 
 def test_boundary_data_must_be_total():
     g = _path(4)
-    with pytest.raises(ValueError):
-        solve_dirichlet(DirichletProblem(g, {0: 0.0}))
-    with pytest.raises(ValueError):
-        solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: 1.0, 2: 0.5}))
+    total = ("boundary data must be total: keys must be exactly the "
+             "boundary-flagged vertex indices")
+    for bad in ({0: 0.0}, {0: 0.0, 4: 1.0, 2: 0.5}, {4: 1.0, 5: 0.0},
+                {0: 0.0, 4.5: 1.0}, {0: 0.0, "x": 1.0}, {0: 0.0, None: 1.0}):
+        with pytest.raises(ValueError) as e:
+            solve_dirichlet(DirichletProblem(g, bad))
+        assert str(e.value) == total
 
 
 def test_invalid_p_and_values_rejected():
     g = _path(4)
     with pytest.raises(ValueError):
         solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: 1.0}, p=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^non-finite boundary value at 4$"):
         solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: np.inf}))
+    # the first bad index in vertex order is named, whatever the dict order
+    with pytest.raises(ValueError, match="^non-finite boundary value at 0$"):
+        solve_dirichlet(DirichletProblem(g, {4: np.inf, 0: np.nan}))
+
+
+def test_boundary_order_does_not_change_the_solution():
+    g, bvals = _lamp_sign_split(6)
+    keys = list(bvals)
+    random.Random(3).shuffle(keys)
+    for p in (1.5, 2.0):
+        want = solve_dirichlet(DirichletProblem(g, bvals, p=p)).values
+        got = solve_dirichlet(DirichletProblem(
+            g, {i: bvals[i] for i in keys}, p=p)).values
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("G", [
+    lamplighter(path_graph(2), line_graph(), IntPoint((0,))),
+    free_group_graph(2),
+    grid_graph(2),
+    line_graph(),
+], ids=lambda G: G.name)
+def test_probes_decode_one_row_per_ball(G, decoded_rows):
+    # a probe vets the center by decoding its row, and needs no other key
+    decoded = decoded_rows(G)
+    oscillation_probe(G, G.origin, 5, 2.0, inner_radius=2)
+    assert decoded == [1]
+    annulus_capacity(G, G.origin, 1, 5, p=2.0)
+    assert decoded == [1, 1]
 
 
 def test_disconnected_interior_raises():

@@ -12,6 +12,7 @@ from lampharm.graphs import (
     GraphOracle,
     BudgetExceededError,
     ball,
+    caterpillar_graph,
     cycle_graph,
     free_group_graph,
     grid_graph,
@@ -260,9 +261,13 @@ def _lamp(site):
     (line_graph(), (IntPoint((-3,)), None), 0.5, 3000, 12),
     (grid_graph(2), (None, None), 0.5, 3000, 12),
     (grid_graph(3), (IntPoint((1, -2, 0)), None), 0.0, 3000, 12),
+    (caterpillar_graph(), (None, None), 0.5, 3000, 12),
+    (caterpillar_graph(), (IntPoint((2, 1)), IntPoint((-1, 0))), 0.0,
+     BATCH_TRIALS + 1, 5),
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-beyond-row-cap",
         "lamp-eager", "lamp-root-1", "free2", "free3", "free2-eager-batches",
-        "line", "grid2", "grid3-eager"])
+        "line", "grid2", "grid3-eager", "caterpillar",
+        "caterpillar-leaf-eager-batches"])
 def test_array_engine_matches_object_engine(G, starts, laziness, trials,
                                             steps):
     """Same RNG draws, same trajectories: the array engine and the object
@@ -295,3 +300,8 @@ def test_only_the_encoded_families_carry_an_array_walk():
     L = path_graph(2)
     assert lamplighter(L, cycle_graph(5), IntPoint((0,))).walk_encoding is None
     assert lamplighter(L, line_graph(), IntPoint((1,))).walk_encoding is not None
+    # the caterpillar is irregular: its frame moves as neighbors() picks
+    assert caterpillar_graph().walk_encoding is not None
+    assert caterpillar_graph().step_fn is None
+    assert lamplighter(L, caterpillar_graph(),
+                       IntPoint((0,))).walk_encoding is None
