@@ -94,7 +94,7 @@ def line_graph():
         if not isinstance(v, IntPoint) or len(v.coords) != 1:
             raise InvalidVertexError(f"not a line vertex: {v!r}")
         (x,) = v.coords
-        return [IntPoint((x - 1,)), IntPoint((x + 1,))]
+        return [_raw_point((x - 1,)), _raw_point((x + 1,))]
 
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name="line",
@@ -104,11 +104,11 @@ def line_graph():
 
 
 def _line_step(v, i):
-    return IntPoint((v.coords[0] + (1 if i else -1),))
+    return _raw_point((v.coords[0] + (1 if i else -1),))
 
 
 def _flip_step(v, i):
-    return IntPoint((1 - v.coords[0],))
+    return _raw_point((1 - v.coords[0],))
 
 
 def cycle_graph(n):
@@ -122,10 +122,11 @@ def cycle_graph(n):
         (x,) = v.coords
         if not 0 <= x < n:
             raise InvalidVertexError(f"cycle({n}) has no vertex {x}")
-        return sorted({IntPoint(((x - 1) % n,)), IntPoint(((x + 1) % n,))})
+        return sorted({_raw_point(((x - 1) % n,)),
+                       _raw_point(((x + 1) % n,))})
 
     def step(v, i):
-        return IntPoint(((v.coords[0] + (1 if i else -1)) % n,))
+        return _raw_point(((v.coords[0] + (1 if i else -1)) % n,))
 
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name=f"cycle({n})",
@@ -146,9 +147,9 @@ def path_graph(n):
             raise InvalidVertexError(f"path({n}) has no vertex {x}")
         out = []
         if x > 0:
-            out.append(IntPoint((x - 1,)))
+            out.append(_raw_point((x - 1,)))
         if x < n - 1:
-            out.append(IntPoint((x + 1,)))
+            out.append(_raw_point((x + 1,)))
         return out
 
     # path(2) is the one regular path: each endpoint's sole neighbor is
@@ -171,14 +172,14 @@ def grid_graph(d):
             for s in (-1, 1):
                 c = list(v.coords)
                 c[i] += s
-                out.append(IntPoint(c))
+                out.append(_raw_point(tuple(c)))
         return sorted(out)
 
     def step(v, i):
         axis, s = divmod(i, 2)
         c = list(v.coords)
         c[axis] += 1 if s else -1
-        return IntPoint(c)
+        return _raw_point(tuple(c))
 
     return GraphOracle(
         nbrs, IntPoint((0,) * d), degree_bound=2 * d, name=f"grid({d})",
@@ -198,11 +199,10 @@ def caterpillar_graph():
             raise InvalidVertexError(f"not a caterpillar vertex: {v!r}")
         n, t = v.coords
         if t == 0:
-            return sorted(
-                [IntPoint((n - 1, 0)), IntPoint((n + 1, 0)), IntPoint((n, 1))]
-            )
+            return [_raw_point((n - 1, 0)), _raw_point((n, 1)),
+                    _raw_point((n + 1, 0))]
         if t == 1:
-            return [IntPoint((n, 0))]
+            return [_raw_point((n, 0))]
         raise InvalidVertexError(f"not a caterpillar vertex: {v!r}")
 
     return GraphOracle(
@@ -422,7 +422,9 @@ class WalkFrame:
 
     Walks: concrete frames define `row_bytes`, `spawn` and `move`, and
     `_rows(state)` is a 2-D array whose row i determines walker i's
-    vertex exactly.
+    vertex exactly. `spawn` makes C-contiguous arrays, which `move`
+    updates through flat views (column c of walker i is element
+    i * width + c).
 
     Balls: `ball_rows(center)` is the center's row; `expand(rows)`
     returns, row after row, a fixed number of choice rows per row (its
@@ -463,8 +465,9 @@ class _IntFrame(WalkFrame):
         return np.tile(np.array(start.coords, dtype=np.int64), (n, 1))
 
     def move(self, state, who, u):
-        axis, up = np.divmod((u * len(self._offsets)).astype(np.intp), 2)
-        state[who, axis] += 2 * up - 1
+        flat = state.reshape(-1)
+        choice = (u * len(self._offsets)).astype(np.intp)
+        flat[who * state.shape[1] + (choice >> 1)] += 2 * (choice & 1) - 1
 
     def expand(self, rows):
         out = rows[:, None, :] + self._offsets
@@ -482,10 +485,14 @@ class _CaterpillarFrame(_IntFrame):
     _DN = np.array([-1, 0, 1], dtype=np.int64)
 
     def move(self, state, who, u):
+        flat = state.reshape(-1)
         choice = (u * 3).astype(np.intp)
-        spine = state[who, 1] == 0
-        state[who, 0] += np.where(spine, self._DN[choice], 0)
-        state[who, 1] = spine & (choice == 1)
+        at = 2 * who
+        spine = flat[at + 1] == 0
+        dn = self._DN[choice]
+        dn *= spine
+        flat[at] += dn
+        flat[at + 1] = spine & (choice == 1)
 
     def expand(self, rows):
         spine = rows[:, 1] == 0
@@ -527,12 +534,17 @@ class _LampLineFrame(WalkFrame):
         return np.tile(row, (n, 1))
 
     def move(self, state, who, u):
+        # every mover xors its lamp word, with a zero mask unless it
+        # toggles
+        flat = state.reshape(-1)
         choice = (u * len(self._DELTA)).astype(np.intp)
-        here = state[who, 0]
-        state[who, 0] = here + self._DELTA[choice]
-        toggle = choice == 2
-        site = here[toggle] - self.lo
-        state[who[toggle], 1 + (site >> 6)] ^= np.left_shift(1, site & 63)
+        at = who * state.shape[1]
+        here = flat[at]
+        flat[at] = here + self._DELTA[choice]
+        site = here - self.lo
+        mask = np.left_shift(1, site & 63)
+        mask *= choice == 2
+        flat[at + 1 + (site >> 6)] ^= mask
 
     def expand(self, rows):
         n = len(rows)
@@ -585,14 +597,22 @@ class _WordFrame(WalkFrame):
 
     def move(self, state, who, u):
         words, length = state
+        flat = words.reshape(-1)
         a = self.letters[(u * len(self.letters)).astype(np.intp)]
         n = length[who]
-        # a zero letter (an empty word) never cancels a generator
-        back = words[who, np.maximum(n - 1, 0)] == -a
-        gone, keep = who[back], who[~back]
-        words[gone, n[back] - 1] = 0
-        words[keep, n[~back]] = a[~back]
-        length[who] += np.where(back, -1, 1)
+        # flat index of the cell past each word's end; it stays inside the
+        # walker's row because the width covers the start plus `steps`
+        # moves, and that cell is zero
+        top = who * self.width + n
+        # an empty word reads its own zero cell, and a zero letter never
+        # cancels a generator
+        back = flat[top - (n > 0)] == -a
+        # a cancelling letter clears the last letter, any other is written
+        # past the end
+        top -= back
+        a[back] = 0
+        flat[top] = a
+        length[who] = n + 1 - 2 * back
 
     def _rows(self, state):
         return state[0]

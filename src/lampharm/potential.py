@@ -228,36 +228,79 @@ def _interior_rows(g, interior):
     return owner[mine], nbr, pos[nbr]
 
 
-def _laplacian(owner, col, n_i, weights=None):
-    """x -> A x and the diagonal of A, the graph Laplacian with per-entry
-    edge weights (1 when None) on the interior rows and columns."""
-    diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
+def _laplacian(owner, col, n_i):
+    """weights -> (x -> A x, the diagonal of A): A is the graph Laplacian
+    with per-entry edge weights (1 when None) on the interior rows and
+    columns, the entries as _interior_rows gives them.
+
+    x -> A x gathers through a (slots, n_i) neighbor table, slots the
+    longest row: table[k, i] is the interior position of row i's k-th
+    CSR neighbor, or n_i, a zero pad, past the row's end and at a
+    boundary neighbor. Summing the slots in order, from +0.0 as
+    np.bincount does, adds each row's terms in bincount's order, so A x
+    is bit-identical to the bincount form. Where a hub would pad the
+    table to over four times the entries, A x is that bincount form."""
     coupled = col >= 0
+    # owner is sorted: an entry's slot is its offset from its row's start
+    slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    slots = int(slot.max()) + 1 if len(owner) else 0
+    at = (slot * n_i + owner)[coupled]
+    table = None
+    if slots * n_i <= 4 * len(owner):
+        table = np.full(slots * n_i, n_i, dtype=np.intp)
+        table[at] = col[coupled]
+        table = table.reshape(slots, n_i)
     rows, cols = owner[coupled], col[coupled]
-    wc = None if weights is None else weights[coupled]
 
-    def apply_A(x):
-        y = diag * x
-        if len(rows):
-            xc = x[cols] if wc is None else wc * x[cols]
-            y -= np.bincount(rows, weights=xc, minlength=n_i)
-        return y
+    def with_weights(weights=None):
+        diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
+        wc = None if weights is None else weights[coupled]
+        wt = None
+        if table is not None and wc is not None:
+            wt = np.zeros(slots * n_i)
+            wt[at] = wc
+            wt = wt.reshape(slots, n_i)
+        xp = np.zeros(n_i + 1)
 
-    return apply_A, diag
+        def apply_A(x):
+            if table is None:
+                xc = x[cols] if wc is None else wc * x[cols]
+                return diag * x - np.bincount(rows, weights=xc, minlength=n_i)
+            xp[:n_i] = x
+            s = np.zeros(n_i)
+            for k in range(slots):
+                term = xp[table[k]]
+                if wt is not None:
+                    term *= wt[k]
+                s += term
+            return diag * x - s
+
+        return apply_A, diag
+
+    return with_weights
 
 
 def _pcg(apply_A, diag, b, x, stop, max_iters):
     """Jacobi-preconditioned CG on A x = b, updating x in place until
     max |b - A x| / diag <= stop or max_iters steps are spent. Returns
-    (steps, last max |r| / diag)."""
+    (steps, last max |r| / diag).
+
+    r z = sum r_i^2 / diag_i <= (max |r| / diag)^2 sum diag, so while
+    r z > 2 stop^2 sum diag (a factor 2 over rounding) the max norm is
+    above stop, and it is read only past that point: the stop falls on
+    the same step as a check on every step."""
     r = b - apply_A(x)
     z = r / diag
     d = z.copy()
     rz = float(r @ z)
+    lazy = 2.0 * stop * stop * float(diag.sum())
+    if lazy < np.finfo(np.float64).tiny:
+        lazy = np.inf  # stop^2 underflows: check every step
     for it in range(max_iters + 1):
-        res = float(np.max(np.abs(r) / diag))
-        if res <= stop or it == max_iters:
-            return it, res
+        if rz <= lazy or it == max_iters:
+            res = float(np.max(np.abs(r) / diag))
+            if res <= stop or it == max_iters:
+                return it, res
         Ad = apply_A(d)
         dAd = float(d @ Ad)
         if dAd <= 0.0:
@@ -273,9 +316,10 @@ def _pcg(apply_A, diag, b, x, stop, max_iters):
             r = b - apply_A(x)
         else:
             r -= alpha * Ad
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
+        d *= rz_new / rz
+        d += z
         rz = rz_new
 
 
@@ -286,7 +330,7 @@ def _solve_p2_cg(g, f, interior, stop, max_iters):
     fixed = col < 0
     b = np.bincount(owner[fixed], weights=f[nbr[fixed]],
                     minlength=len(interior))
-    apply_A, diag = _laplacian(owner, col, len(interior))
+    apply_A, diag = _laplacian(owner, col, len(interior))()
     x = f[interior].copy()
     it, res = _pcg(apply_A, diag, b, x, stop, max_iters)
     if res > stop:
@@ -306,6 +350,7 @@ def _solve_newton(g, f, interior, p, stop, max_iters):
     f[interior] = np.clip(f[interior], lo, hi)
     owner, nbr, col = _interior_rows(g, interior)
     n_i = len(interior)
+    hessian = _laplacian(owner, col, n_i)
     deg = np.bincount(owner).astype(float)
     me = interior[owner]
     eu, ev = g.edges().T
@@ -348,8 +393,7 @@ def _solve_newton(g, f, interior, p, stop, max_iters):
             t = 0.0
             if since < 8:
                 steps += 1
-                apply_H, diag = _laplacian(
-                    owner, col, n_i,
+                apply_H, diag = hessian(
                     s2 ** (half - 2.0) * ((p - 1.0) * d * d + eps2))
                 step = np.zeros(n_i)
                 _pcg(apply_H, diag, -grad, step,

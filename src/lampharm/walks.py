@@ -6,7 +6,9 @@ memory, so trajectories through enormous implicit graphs stay cheap.
 Histograms count walk endpoints under exact labels: the vertex keys
 themselves on the object engine, which calls step_fn (or neighbors)
 once per walker and step, and a bytes row per vertex on the array
-engine, which steps whole batches of walkers as numpy arrays.
+engine, which steps whole batches of walkers as numpy arrays. Either
+way Counter.update counts a checkpoint's labels in C, and tv_distance
+sums the exact gap in int64.
 
 walk_series takes the array engine on oracles that carry a
 `walk_encoding`: the lamplighter of path(2) over the line, the free
@@ -24,8 +26,10 @@ object engine (see graphs.array_frame).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -119,14 +123,14 @@ class _KeyFrame:
         return keys
 
 
-def _run_walk(frame, start, cfg, marks, rng):
+def _run_walk(frame, start, cfg, marks, rng, split=False):
     """Endpoint histograms of `trials` independent walks at each
-    checkpoint in `marks`, plus first-half/second-half sub-histograms for
-    the split-half baseline, keyed by the frame's labels. Per batch and
-    step: one rng.random(batch) for laziness unless it is 0, then one
-    rng.random(movers) for the moves."""
+    checkpoint in `marks`, keyed by the frame's labels, and with `split`
+    the first-half/second-half sub-histograms for the split-half
+    baseline (else None). Per batch and step: one rng.random(batch) for
+    laziness unless it is 0, then one rng.random(movers) for the moves."""
     hists = {t: Counter() for t in marks}
-    halves = {t: (Counter(), Counter()) for t in marks}
+    halves = {t: (Counter(), Counter()) for t in marks} if split else None
     half_cut = cfg.trials // 2
     done = 0
     while done < cfg.trials:
@@ -134,27 +138,22 @@ def _run_walk(frame, start, cfg, marks, rng):
         state = frame.spawn(start, bs)
         for t in range(0, cfg.steps + 1):
             if t in hists:
-                _record(hists[t], halves[t], frame.labels(state), done,
-                        half_cut)
+                labels = frame.labels(state)
+                hists[t].update(labels)
+                if split:
+                    lo, hi = halves[t]
+                    cut = min(max(half_cut - done, 0), bs)
+                    lo.update(labels[:cut])
+                    hi.update(labels[cut:])
             if t == cfg.steps:
                 break
             if cfg.laziness > 0.0:
-                who = np.flatnonzero(rng.random(bs) >= cfg.laziness)
+                who = (rng.random(bs) >= cfg.laziness).nonzero()[0]
             else:
                 who = np.arange(bs)
             frame.move(state, who, rng.random(len(who)))
         done += bs
     return hists, halves
-
-
-def _record(hist, half_pair, labels, offset, half_cut):
-    lo, hi = half_pair
-    for i, label in enumerate(labels):
-        hist[label] += 1
-        if offset + i < half_cut:
-            lo[label] += 1
-        else:
-            hi[label] += 1
 
 
 def simulate_walks(G, cfg, budget=None):
@@ -177,18 +176,29 @@ def simulate_walks(G, cfg, budget=None):
 
 def tv_distance(hist_a, hist_b):
     """Total variation between two empirical distributions given as
-    count mappings over a common key space: half the L1 gap of the
-    normalized histograms. Always in [0, 1].
+    integer count mappings over a common key space: half the L1 gap of
+    the normalized histograms. Always in [0, 1].
 
-    Integer counts give the exact sum |c_a n_b - c_b n_a| / (2 n_a n_b),
-    rounded once, so the result does not depend on the order of the
-    labels (which follows the process's hash seed)."""
-    na = sum(hist_a.values())
-    nb = sum(hist_b.values())
+    The gap sum |c_a n_b - c_b n_a| / (2 n_a n_b) is exact, rounded
+    once, so the result does not depend on the order of the labels
+    (which follows the process's hash seed). It runs over a's keys only:
+    a key that only b has adds n_a c_b, which n_a (n_b - sum of b's
+    counts on a's keys) collects. The sum is taken in int64, whose range
+    it fits while n_a n_b < 2**62 (it is at most 2 n_a n_b); beyond
+    that, OverflowError. Float counts raise TypeError."""
+    # index() refuses float counts, which int64 would truncate
+    na = operator.index(sum(hist_a.values()))
+    nb = operator.index(sum(hist_b.values()))
     if na == 0 or nb == 0:
         raise ValueError("empty histogram")
-    gap = sum(abs(hist_a.get(k, 0) * nb - hist_b.get(k, 0) * na)
-              for k in hist_a.keys() | hist_b.keys())
+    if na * nb >= 2**62:
+        raise OverflowError(
+            f"histogram totals {na} x {nb} overflow the int64 TV sum")
+    n = len(hist_a)
+    ca = np.fromiter(hist_a.values(), dtype=np.int64, count=n)
+    cb = np.fromiter(map(hist_b.get, hist_a, repeat(0)), dtype=np.int64,
+                     count=n)
+    gap = int(np.abs(ca * nb - cb * na).sum()) + na * (nb - int(cb.sum()))
     return gap / (2 * na * nb)
 
 
@@ -225,7 +235,7 @@ def walk_series(G, cfg, checkpoints=None, budget=None):
             G.neighbors(s)  # the frame reads the keys' fields: vet them
         frame = array_frame(G, (a, b), cfg.steps) or frame
     rng = np.random.default_rng(cfg.seed)
-    ha, halves_a = _run_walk(frame, a, cfg, marks, rng)
+    ha, halves_a = _run_walk(frame, a, cfg, marks, rng, split=True)
     hb, _ = _run_walk(frame, b, cfg, marks, rng)
     tv = [tv_distance(ha[t], hb[t]) for t in marks]
     base = []

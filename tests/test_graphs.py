@@ -361,6 +361,30 @@ def test_regular_step_function_enumerates_exactly_the_neighbors():
             v = nbrs[rnd.randrange(len(nbrs))]
 
 
+def test_integer_families_build_the_keys_the_validating_constructor_does():
+    """The integer families build neighbor and step keys without the
+    validating IntPoint constructor: every key must still hold a tuple
+    of Python ints with the canon and hash IntPoint gives it, and
+    neighbor lists must stay sorted."""
+    rnd = random.Random(5)
+    fams = [line_graph(), cycle_graph(6), path_graph(5), path_graph(2),
+            grid_graph(2), grid_graph(3), caterpillar_graph()]
+    for G in fams:
+        v = G.origin
+        for _ in range(60):
+            nbrs = G.neighbors(v)
+            assert nbrs == sorted(nbrs)
+            keys = list(nbrs)
+            if G.step_fn is not None:
+                keys += [G.step_fn(v, i) for i in range(G.regular_degree)]
+            for k in keys:
+                assert type(k.coords) is tuple
+                assert all(type(c) is int for c in k.coords)
+                ref = IntPoint(k.coords)
+                assert (k.canon, hash(k)) == (ref.canon, hash(ref))
+            v = nbrs[rnd.randrange(len(nbrs))]
+
+
 def test_irregular_families_do_not_advertise_a_step_function():
     assert path_graph(5).regular_degree is None
     assert caterpillar_graph().regular_degree is None

@@ -13,6 +13,7 @@ from lampharm.graphs import (
     path_graph,
 )
 from lampharm.keys import IntPoint, WordKey
+from lampharm import potential
 from lampharm.potential import (
     DirichletProblem,
     DisconnectedInteriorError,
@@ -431,3 +432,115 @@ def test_newton_last_stage_reaches_the_floor(seed, p_residual):
     sol = solve_dirichlet(prob)
     assert sol.stats.stop == "floor"
     assert p_residual(prob, sol) <= _stop(prob)
+
+
+# ---------------------------------------------------------------------------
+# the CG kernel against eager references
+
+
+def _bincount_apply(owner, col, n_i, weights, x):
+    """A x by np.bincount over the coupled entries: the reference sum
+    order for the neighbor table."""
+    diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
+    c = col >= 0
+    xc = x[col[c]] if weights is None else weights[c] * x[col[c]]
+    return diag * x - np.bincount(owner[c], weights=xc, minlength=n_i)
+
+
+def _eager_pcg(apply_A, diag, b, x, stop, max_iters):
+    """Jacobi-preconditioned CG that reads max |r| / diag on every step."""
+    r = b - apply_A(x)
+    z = r / diag
+    d = z.copy()
+    rz = float(r @ z)
+    for it in range(max_iters + 1):
+        res = float(np.max(np.abs(r) / diag))
+        if res <= stop or it == max_iters:
+            return it, res
+        Ad = apply_A(d)
+        dAd = float(d @ Ad)
+        if dAd <= 0.0:
+            r = b - apply_A(x)
+            z = r / diag
+            d = z.copy()
+            rz = float(r @ z)
+            continue
+        alpha = rz / dAd
+        x += alpha * d
+        if (it + 1) % 64 == 0:
+            r = b - apply_A(x)
+        else:
+            r -= alpha * Ad
+        z = r / diag
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+
+
+def _kernel_cases():
+    """(graph, interior) pairs: irregular from_edges graphs whose interior
+    rows couple to the boundary, a ball, a star with one interior
+    vertex, and a hub whose padded table would be over four times its
+    entries."""
+    rng = random.Random(12)
+    for n in (9, 31, 80):
+        g = _random_connected(rng, n)
+        yield g, np.flatnonzero(~g.boundary_mask)
+    g = ball(grid_graph(2), IntPoint((0, 0)), 6)
+    yield g, np.flatnonzero(~g.boundary_mask)
+    star = FiniteGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)],
+                                  boundary=[1, 2, 3])
+    yield star, np.array([0])
+    k = 40
+    hub = FiniteGraph.from_edges(
+        2 * k + 1, [(0, i) for i in range(1, k + 1)]
+        + [(i, k + i) for i in range(1, k + 1)], boundary=range(k + 1, 2 * k + 1))
+    yield hub, np.flatnonzero(~hub.boundary_mask)
+
+
+def test_laplacian_matches_the_bincount_form_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for g, interior in _kernel_cases():
+        owner, _, col = potential._interior_rows(g, interior)
+        n_i = len(interior)
+        assert np.any(col < 0)
+        operator = potential._laplacian(owner, col, n_i)
+        for weights in (None, rng.uniform(0.1, 3.0, len(owner))):
+            apply_A, diag = operator(weights)
+            want_diag = np.bincount(owner, weights=weights, minlength=n_i)
+            assert diag.tobytes() == want_diag.astype(float).tobytes()
+            for x in (rng.normal(size=n_i), np.full(n_i, -0.0),
+                      np.where(rng.random(n_i) < 0.5, -0.0, 1.0)):
+                got = apply_A(x)
+                want = _bincount_apply(owner, col, n_i, weights, x)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_pcg_stops_where_an_eager_max_norm_check_does():
+    rng = np.random.default_rng(8)
+    for g, interior in _kernel_cases():
+        owner, nbr, col = potential._interior_rows(g, interior)
+        n_i = len(interior)
+        operator = potential._laplacian(owner, col, n_i)
+        # edge weights, the same on both entries of an edge as Newton's
+        me = interior[owner]
+        edge_w = 0.5 + (me * nbr % 7) + np.cos(me + nbr) ** 2
+        for weights in (None, edge_w, 1e10 * edge_w):
+            apply_A, diag = operator(weights)
+            b = rng.normal(size=n_i)
+            # `tight` stops the eager check at step 0; on one interior
+            # vertex r z is then exactly stop^2 sum diag
+            tight = float(np.max(np.abs(b) / diag))
+            cases = [(1.0, 1e-3, 10**6), (1.0, 1e-10, 10**6),
+                     (1.0, 1e-14, 500), (1.0, 1e-10, 3), (1.0, tight, 10)]
+            if diag.min() > 1e9:
+                # stop^2 underflows to 0, while r z stays above 0 until
+                # max |r| / diag <= stop
+                cases.append((1e-150, 1e-165, 500))
+            for scale, stop, max_iters in cases:
+                rhs = b * scale
+                x, y = np.zeros(n_i), np.zeros(n_i)
+                got = potential._pcg(apply_A, diag, rhs, x, stop, max_iters)
+                want = _eager_pcg(apply_A, diag, rhs, y, stop, max_iters)
+                assert got == want
+                assert x.tobytes() == y.tobytes()

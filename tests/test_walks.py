@@ -4,6 +4,7 @@ and validation. Critical values are hardcoded (1% level): 6.635 for 1
 degree of freedom, 18.475 for 7."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,39 @@ def test_tv_in_unit_interval():
              enumerate(rng.integers(0, 50, size=6))}
         v = tv_distance(a, b)
         assert 0.0 <= v <= 1.0
+
+
+def _tv_fraction(a, b):
+    """Exact TV over the union of the keys, in rationals."""
+    na, nb = sum(a.values()), sum(b.values())
+    return float(sum(abs(Fraction(a.get(k, 0), na) - Fraction(b.get(k, 0), nb))
+                     for k in a.keys() | b.keys()) / 2)
+
+
+def test_tv_matches_an_exact_rational_reference():
+    rng = np.random.default_rng(4)
+    cases = [
+        ({"x": 3, "y": 1}, {"x": 1, "y": 3}),
+        ({"x": 5}, {"x": 2, "y": 7, "z": 1}),      # keys only in b
+        ({"x": 5, "y": 2}, {"z": 9}),              # disjoint supports
+        ({"x": 2**31 - 1, "y": 1}, {"y": 2**31 - 1}),   # n_a n_b < 2**62
+    ]
+    for _ in range(30):
+        a = {int(k): int(c) for k, c in
+             zip(rng.integers(0, 40, 25), rng.integers(1, 1000, 25))}
+        b = {int(k): int(c) for k, c in
+             zip(rng.integers(20, 60, 25), rng.integers(1, 1000, 25))}
+        cases.append((a, b))
+    for a, b in cases:
+        assert tv_distance(a, b) == _tv_fraction(a, b)
+        assert tv_distance(b, a) == _tv_fraction(b, a)
+
+
+def test_tv_refuses_totals_past_the_int64_sum_and_float_counts():
+    with pytest.raises(OverflowError):
+        tv_distance({"x": 2**31}, {"y": 2**31})
+    with pytest.raises(TypeError):
+        tv_distance({"x": 1.5}, {"x": 2})
 
 
 def _lazy_line_law(steps, shift=0):
@@ -253,11 +287,15 @@ def _lamp(site):
     (_lamp_graph(), (_lamp(40), None), 0.5, 3000, 12),
     (_lamp_graph(), (_lamp(10**6), None), 0.5, 300, 4),
     (_lamp_graph(), (None, _lamp(0)), 0.0, 3000, 12),
+    (_lamp_graph(), (None, _lamp(0)), 0.5, 2000, 70),
+    (_lamp_graph(), (_lamp(-5), None), 0.0, 2000, 70),
     (lamplighter(path_graph(2), line_graph(), IntPoint((1,))), (None, None),
      0.5, 3000, 12),
     (free_group_graph(2), (None, None), 0.5, 3000, 12),
     (free_group_graph(3), (WordKey((1, -2)), None), 0.5, 3000, 12),
     (free_group_graph(2), (None, None), 0.0, BATCH_TRIALS + 1, 3),
+    (free_group_graph(1), (None, None), 0.0, 3000, 40),
+    (free_group_graph(2), (WordKey((2,)), None), 0.0, 3000, 6),
     (line_graph(), (IntPoint((-3,)), None), 0.5, 3000, 12),
     (grid_graph(2), (None, None), 0.5, 3000, 12),
     (grid_graph(3), (IntPoint((1, -2, 0)), None), 0.0, 3000, 12),
@@ -265,7 +303,9 @@ def _lamp(site):
     (caterpillar_graph(), (IntPoint((2, 1)), IntPoint((-1, 0))), 0.0,
      BATCH_TRIALS + 1, 5),
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-beyond-row-cap",
-        "lamp-eager", "lamp-root-1", "free2", "free3", "free2-eager-batches",
+        "lamp-eager", "lamp-second-lamp-word", "lamp-second-lamp-word-eager",
+        "lamp-root-1", "free2", "free3", "free2-eager-batches",
+        "free1-eager-returns", "free2-eager-returns",
         "line", "grid2", "grid3-eager", "caterpillar",
         "caterpillar-leaf-eager-batches"])
 def test_array_engine_matches_object_engine(G, starts, laziness, trials,
