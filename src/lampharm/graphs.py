@@ -62,7 +62,8 @@ class GraphOracle:
 
     `walk_encoding` is set only by the family constructors that have an
     array form of their vertices (the lamplighter of path(2) over the
-    line, the free groups, the line, the grids and the caterpillar).
+    line, the free groups, the line, the grids, the caterpillar and the
+    direct product of two lattices).
     `walk_encoding(starts, steps)` returns a WalkFrame that encodes every
     vertex within `steps` moves of the starts as one numpy row. Walks
     use `spawn(start, n)` (the state of n walkers at `start`),
@@ -175,17 +176,18 @@ def grid_graph(d):
                 out.append(_raw_point(tuple(c)))
         return sorted(out)
 
-    def step(v, i):
-        axis, s = divmod(i, 2)
-        c = list(v.coords)
-        c[axis] += 1 if s else -1
-        return _raw_point(tuple(c))
-
     return GraphOracle(
         nbrs, IntPoint((0,) * d), degree_bound=2 * d, name=f"grid({d})",
-        regular_degree=2 * d, step_fn=step,
+        regular_degree=2 * d, step_fn=_grid_step,
         walk_encoding=lambda starts, steps: _IntFrame(d, starts, steps),
     )
+
+
+def _grid_step(v, i):
+    axis, s = divmod(i, 2)
+    c = list(v.coords)
+    c[axis] += 1 if s else -1
+    return _raw_point(tuple(c))
 
 
 def caterpillar_graph():
@@ -340,6 +342,9 @@ def direct_product(H1, H2):
                 return PairKey(s1(v.left, i), v.right)
             return PairKey(v.left, s2(v.right, i - r1))
 
+    # a factor that steps as the line or grid(d) does is d-dimensional
+    d1, d2 = (H.regular_degree // 2 if H.step_fn in (_line_step, _grid_step)
+              else 0 for H in (H1, H2))
     return GraphOracle(
         nbrs,
         PairKey(H1.origin, H2.origin),
@@ -347,6 +352,8 @@ def direct_product(H1, H2):
         name=f"product({H1.name},{H2.name})",
         regular_degree=rdeg,
         step_fn=step,
+        walk_encoding=(lambda starts, steps: _PairFrame(d1, d2, starts, steps))
+        if d1 and d2 else None,
     )
 
 
@@ -433,8 +440,9 @@ class WalkFrame:
     `decode(rows)` gives the vertex keys.
 
     Column 0 of a vertex's row is its key's potential.sign_projection:
-    the first coordinate, the lamplighter's base position, or a word's
-    first letter (0 for the identity), so the sign split reads the rows.
+    the first coordinate (the left factor's on a product), the base
+    position, or a word's first letter (0 for the identity), so the sign
+    split reads the rows.
     """
 
     def labels(self, state):
@@ -455,14 +463,17 @@ class _IntFrame(WalkFrame):
     choices are -e_0..-e_{d-1}, then +e_{d-1}..+e_0."""
 
     def __init__(self, d, starts, steps):
-        coords = [x for s in starts for x in s.coords]
+        coords = [x for s in starts for x in self._coords(s)]
         _check_coords(min(coords) - steps, max(coords) + steps)
         self.row_bytes = 8 * d
         eye = np.eye(d, dtype=np.int64)
         self._offsets = np.concatenate([-eye, eye[::-1]])
 
+    def _coords(self, key):
+        return key.coords
+
     def spawn(self, start, n):
-        return np.tile(np.array(start.coords, dtype=np.int64), (n, 1))
+        return np.tile(np.array(self._coords(start), dtype=np.int64), (n, 1))
 
     def move(self, state, who, u):
         flat = state.reshape(-1)
@@ -475,6 +486,24 @@ class _IntFrame(WalkFrame):
 
     def decode(self, rows):
         return [_raw_point(tuple(r)) for r in rows.tolist()]
+
+
+class _PairFrame(_IntFrame):
+    """Walkers on the product of a d1- and a d2-dimensional lattice as
+    grid(d1 + d2) rows: left coordinates, then right. The PairKeys sort,
+    and the product's step_fn orders its choices, as the grid's do."""
+
+    def __init__(self, d1, d2, starts, steps):
+        self.d1 = d1
+        super().__init__(d1 + d2, starts, steps)
+
+    def _coords(self, key):
+        return key.left.coords + key.right.coords
+
+    def decode(self, rows):
+        d1 = self.d1
+        return [PairKey(_raw_point(tuple(r[:d1])), _raw_point(tuple(r[d1:])))
+                for r in rows.tolist()]
 
 
 class _CaterpillarFrame(_IntFrame):

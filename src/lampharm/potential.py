@@ -7,15 +7,26 @@ phi(d) = |d|^(p-2) d, once it is <= max(tolerance, floor). The floor
 max((8 eps M)^(p-1), 8 eps M^(p-1)), M the largest absolute boundary
 value, is what rounding hides; a smaller tolerance means "run to it".
 
-p=2 runs Jacobi-preconditioned conjugate gradients (CG). p != 2 runs
-damped Newton from the p=2 solution on sum (d^2 + eps^2)^(p/2), eps
-shrinking tenfold per stage from a tenth of the boundary span to the
+p=2 runs Jacobi-preconditioned conjugate gradients (CG) on the interior
+system A x = b reduced to the black rows, those outside a red set:
+S x_b = b_b + W_br D_r^-1 b_r, S = A_bb - W_br D_r^-1 W_rb, then
+x_r = D_r^-1 (b_r + W_rb x_b), W the weights between interior vertices.
+Red is the interior at even BFS distance (from a ball's center, else
+from the boundary) minus any vertex with an even interior neighbor:
+independent, so A's red block is its diagonal D_r, and on a bipartite
+ball every even layer, where CG takes half the steps (Reid, SIAM J.
+Numer. Anal. 9, 1972). S's residual is A's on the black rows, and on
+the red rows A's is rounding.
+
+p != 2 runs damped Newton from the p=2 solution on sum (d^2 + eps^2)^(p/2),
+eps shrinking tenfold per stage from a tenth of the boundary span to the
 rounding of the values: the Hessian, a weighted graph Laplacian, goes to
 the same CG, an Armijo search damps each step, and each iterate is
 clamped to the boundary range, so the maximum principle is exact.
-`max_iters` counts CG or Newton steps; running out of them, or a last
-stage that stops making progress, raises NonConvergenceError with the
-residual reached. Each result carries a SolveStats.
+`max_iters` counts Newton steps, or at p=2 CG steps on S; running out
+of them, or a last stage that stops making progress, raises
+NonConvergenceError with the residual reached. Each result carries a
+SolveStats.
 """
 
 from __future__ import annotations
@@ -190,9 +201,12 @@ def solve_dirichlet(prob):
         return VertexFunction(f, trivial)
     if len(bidx) == 0:
         raise DisconnectedInteriorError("graph has no boundary vertices")
-    # a ball (center_dist set) is connected: every vertex reaches bidx
-    if g.center_dist is None:
-        unreached = np.flatnonzero(graph_distances(g, bidx) < 0)
+    # a ball (center_dist set) is connected: every vertex reaches bidx;
+    # elsewhere the reachability search gives the distances
+    dist = g.center_dist
+    if dist is None:
+        dist = graph_distances(g, bidx)
+        unreached = np.flatnonzero(dist < 0)
         if len(unreached):
             raise DisconnectedInteriorError(
                 f"interior vertex {unreached[0]} has no path to the boundary"
@@ -205,12 +219,15 @@ def solve_dirichlet(prob):
     f[interior] = bvals.mean()
     floor = residual_floor(float(np.max(np.abs(bvals))), p)
     stop = max(prob.tolerance, floor)
+    owner, _, col = rows = _interior_rows(g, interior)
+    system = _schur(owner, col, _red_set(owner, col, dist[interior] % 2 == 0))
     if p == 2.0:
         method = "cg"
-        iters = _solve_p2_cg(g, f, interior, stop, prob.max_iters)
+        iters = _solve_p2_cg(f, interior, rows, system, stop, prob.max_iters)
     else:
         method = "newton"
-        iters = _solve_newton(g, f, interior, p, stop, prob.max_iters)
+        iters = _solve_newton(g, f, interior, rows, system, p, stop,
+                              prob.max_iters)
     reason = "tolerance" if prob.tolerance >= floor else "floor"
     return VertexFunction(f, SolveStats(method, iters, reason,
                                         harmonic_residual(f, g, p)))
@@ -228,54 +245,94 @@ def _interior_rows(g, interior):
     return owner[mine], nbr, pos[nbr]
 
 
-def _laplacian(owner, col, n_i):
-    """weights -> (x -> A x, the diagonal of A): A is the graph Laplacian
-    with per-entry edge weights (1 when None) on the interior rows and
-    columns, the entries as _interior_rows gives them.
+def _red_set(owner, col, even):
+    """The `even` interior positions without an even interior neighbor:
+    independent, and on a bipartite graph every even position."""
+    c = col >= 0
+    red = even.copy()
+    red[owner[c][even[owner[c]] & even[col[c]]]] = False
+    return red
 
-    x -> A x gathers through a (slots, n_i) neighbor table, slots the
-    longest row: table[k, i] is the interior position of row i's k-th
-    CSR neighbor, or n_i, a zero pad, past the row's end and at a
-    boundary neighbor. Summing the slots in order, from +0.0 as
-    np.bincount does, adds each row's terms in bincount's order, so A x
+
+def _gather(rows, cols, n_rows, n_cols):
+    """weights -> (x -> y): y[i] sums weights[e] * x[cols[e]] (weights 1
+    when None) over the entries e of row i; rows is sorted.
+
+    x -> y gathers through a (slots, n_rows) table, slots the longest
+    row: table[k, i] is the column of row i's k-th entry, or n_cols, a
+    zero pad, past the row's end. Summing the slots in order, from +0.0
+    as np.bincount does, adds each row's terms in bincount's order, so y
     is bit-identical to the bincount form. Where a hub would pad the
-    table to over four times the entries, A x is that bincount form."""
-    coupled = col >= 0
-    # owner is sorted: an entry's slot is its offset from its row's start
-    slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    slots = int(slot.max()) + 1 if len(owner) else 0
-    at = (slot * n_i + owner)[coupled]
+    table to over four times the entries, y is that bincount form."""
+    # rows is sorted: an entry's slot is its offset from its row's start
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    slots = int(slot.max()) + 1 if len(rows) else 0
+    at = slot * n_rows + rows
     table = None
-    if slots * n_i <= 4 * len(owner):
-        table = np.full(slots * n_i, n_i, dtype=np.intp)
-        table[at] = col[coupled]
-        table = table.reshape(slots, n_i)
-    rows, cols = owner[coupled], col[coupled]
+    if slots * n_rows <= 4 * len(rows):
+        table = np.full(slots * n_rows, n_cols, dtype=np.intp)
+        table[at] = cols
+        table = table.reshape(slots, n_rows)
 
     def with_weights(weights=None):
-        diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
-        wc = None if weights is None else weights[coupled]
         wt = None
-        if table is not None and wc is not None:
-            wt = np.zeros(slots * n_i)
-            wt[at] = wc
-            wt = wt.reshape(slots, n_i)
-        xp = np.zeros(n_i + 1)
+        if table is not None and weights is not None:
+            wt = np.zeros(slots * n_rows)
+            wt[at] = weights
+            wt = wt.reshape(slots, n_rows)
+        xp = np.zeros(n_cols + 1)
 
-        def apply_A(x):
+        def gather(x):
             if table is None:
-                xc = x[cols] if wc is None else wc * x[cols]
-                return diag * x - np.bincount(rows, weights=xc, minlength=n_i)
-            xp[:n_i] = x
-            s = np.zeros(n_i)
+                xc = x[cols] if weights is None else weights * x[cols]
+                return np.bincount(rows, weights=xc, minlength=n_rows)
+            xp[:n_cols] = x
+            y = np.zeros(n_rows)
             for k in range(slots):
                 term = xp[table[k]]
                 if wt is not None:
                     term *= wt[k]
-                s += term
-            return diag * x - s
+                y += term
+            return y
 
-        return apply_A, diag
+        return gather
+
+    return with_weights
+
+
+def _schur(owner, col, red):
+    """weights -> (solve, diag) for A, the graph Laplacian with per-entry
+    edge weights (1 when None) on the entries of _interior_rows, and its
+    diagonal. solve(b, x, stop, max_iters) runs _pcg on the Schur
+    complement of A's red block (see the module docstring), in place on
+    x, and returns _pcg's (steps, residual)."""
+    n, n_b = len(red), len(red) - np.count_nonzero(red)
+    # positions in black-then-red order, so that x reads [x_b, x_r]
+    order = np.argsort(red, kind="stable")
+    num = np.empty_like(order)
+    num[order] = np.arange(n)
+    on_r, on_b = (col >= 0) & red[owner], (col >= 0) & ~red[owner]
+    to_r = _gather(num[owner[on_r]] - n_b, num[col[on_r]], n - n_b, n_b)
+    to_b = _gather(num[owner[on_b]], num[col[on_b]], n_b, n)
+
+    def with_weights(weights=None):
+        diag = np.bincount(owner, weights=weights, minlength=n).astype(float)
+        d_b, d_r = diag[order[:n_b]], diag[order[n_b:]]
+        w_rb = to_r(None if weights is None else weights[on_r])
+        w_b = to_b(None if weights is None else weights[on_b])
+
+        def apply_S(v):
+            return d_b * v - w_b(np.concatenate((v, w_rb(v) / d_r)))
+
+        def solve(b, x, stop, max_iters):
+            b = b[order]
+            x_b = x[order[:n_b]]
+            rhs = b[:n_b] + w_b(np.concatenate((np.zeros(n_b), b[n_b:] / d_r)))
+            out = _pcg(apply_S, d_b, rhs, x_b, stop, max_iters)
+            x[order] = np.concatenate((x_b, (b[n_b:] + w_rb(x_b)) / d_r))
+            return out
+
+        return solve, diag
 
     return with_weights
 
@@ -288,32 +345,45 @@ def _pcg(apply_A, diag, b, x, stop, max_iters):
     r z = sum r_i^2 / diag_i <= (max |r| / diag)^2 sum diag, so while
     r z > 2 stop^2 sum diag (a factor 2 over rounding) the max norm is
     above stop, and it is read only past that point: the stop falls on
-    the same step as a check on every step."""
+    the same step as a check on every step.
+
+    Where r z leaves the normal range (values near 1e-160), r, z and d
+    are scaled up by a power of two s, exactly, so it cannot underflow."""
+    tiny, s = np.finfo(np.float64).tiny, 1.0
     r = b - apply_A(x)
     z = r / diag
     d = z.copy()
     rz = float(r @ z)
     lazy = 2.0 * stop * stop * float(diag.sum())
-    if lazy < np.finfo(np.float64).tiny:
+    if lazy < tiny:
         lazy = np.inf  # stop^2 underflows: check every step
     for it in range(max_iters + 1):
         if rz <= lazy or it == max_iters:
-            res = float(np.max(np.abs(r) / diag))
+            res = float(np.max(np.abs(r) / diag, initial=0.0)) / s
             if res <= stop or it == max_iters:
                 return it, res
+        if rz < tiny:
+            # r != 0 above the stop; 2^1023 is the largest finite power
+            t = 2.0 ** min(1023, -int(np.frexp(np.max(np.abs(r)))[1]))
+            r *= t
+            d *= t
+            np.divide(r, diag, out=z)
+            rz = float(r @ z)
+            lazy *= t * t
+            s *= t
         Ad = apply_A(d)
         dAd = float(d @ Ad)
         if dAd <= 0.0:
             # numerical stagnation: refresh the residual and restart
-            r = b - apply_A(x)
+            r = (b - apply_A(x)) * s
             z = r / diag
             d = z.copy()
             rz = float(r @ z)
             continue
         alpha = rz / dAd
-        x += alpha * d
+        x += (alpha / s) * d
         if (it + 1) % 64 == 0:
-            r = b - apply_A(x)
+            r = (b - apply_A(x)) * s
         else:
             r -= alpha * Ad
         np.divide(r, diag, out=z)
@@ -323,34 +393,33 @@ def _pcg(apply_A, diag, b, x, stop, max_iters):
         rz = rz_new
 
 
-def _solve_p2_cg(g, f, interior, stop, max_iters):
-    """CG on the interior mean-value equations, in place on f. Returns
-    the CG steps taken."""
-    owner, nbr, col = _interior_rows(g, interior)
+def _solve_p2_cg(f, interior, rows, system, stop, max_iters):
+    """CG on the interior mean-value equations, in place on f, with the
+    interior's _interior_rows and _schur. Returns the CG steps taken."""
+    owner, nbr, col = rows
     fixed = col < 0
     b = np.bincount(owner[fixed], weights=f[nbr[fixed]],
                     minlength=len(interior))
-    apply_A, diag = _laplacian(owner, col, len(interior))()
+    solve, _ = system()
     x = f[interior].copy()
-    it, res = _pcg(apply_A, diag, b, x, stop, max_iters)
-    if res > stop:
+    it, res = solve(b, x, stop, max_iters)
+    if not res <= stop:
         raise NonConvergenceError(res, it)
     f[interior] = x
     return it
 
 
-def _solve_newton(g, f, interior, p, stop, max_iters):
-    """Damped Newton on the smoothed p-energy, in place on f. Returns
-    the Newton steps taken."""
+def _solve_newton(g, f, interior, rows, system, p, stop, max_iters):
+    """Damped Newton on the smoothed p-energy, in place on f, with rows
+    and system as _solve_p2_cg has them. Returns the Newton steps taken."""
     bvals = f[g.boundary_mask]
     lo, hi = float(bvals.min()), float(bvals.max())
     m = max(-lo, hi)
-    _solve_p2_cg(g, f, interior, max(stop, residual_floor(m, 2.0)),
-                 DEFAULT_MAX_ITERS)
+    _solve_p2_cg(f, interior, rows, system,
+                 max(stop, residual_floor(m, 2.0)), DEFAULT_MAX_ITERS)
     f[interior] = np.clip(f[interior], lo, hi)
-    owner, nbr, col = _interior_rows(g, interior)
+    owner, nbr, _ = rows
     n_i = len(interior)
-    hessian = _laplacian(owner, col, n_i)
     deg = np.bincount(owner).astype(float)
     me = interior[owner]
     eu, ev = g.edges().T
@@ -393,11 +462,11 @@ def _solve_newton(g, f, interior, p, stop, max_iters):
             t = 0.0
             if since < 8:
                 steps += 1
-                apply_H, diag = hessian(
+                solve, diag = system(
                     s2 ** (half - 2.0) * ((p - 1.0) * d * d + eps2))
                 step = np.zeros(n_i)
-                _pcg(apply_H, diag, -grad, step,
-                     1e-9 * float(np.max(np.abs(grad) / diag)), 4 * n_i)
+                solve(-grad, step, 1e-9 * float(np.max(np.abs(grad) / diag)),
+                      4 * n_i)
                 slope = 1e-4 * p * float(grad @ step)
                 t = 1.0
                 while t >= 1e-12:

@@ -442,6 +442,12 @@ _ARRAY_FAMILIES = [
     (caterpillar_graph(), None),
     (caterpillar_graph(), IntPoint((3, 1))),
     (caterpillar_graph(), IntPoint((-2, 0))),
+    (direct_product(line_graph(), line_graph()), None),
+    (direct_product(line_graph(), line_graph()),
+     PairKey(IntPoint((-2,)), IntPoint((3,)))),
+    (direct_product(grid_graph(2), line_graph()), None),
+    (direct_product(line_graph(), grid_graph(2)),
+     PairKey(IntPoint((4,)), IntPoint((-1, 2)))),
 ]
 
 
@@ -486,6 +492,7 @@ def test_array_ball_decodes_keys_only_when_read(G, decoded_rows):
     (grid_graph(2), 32),
     (grid_graph(2), 64),
     (line_graph(), 64),
+    (direct_product(line_graph(), line_graph()), 15),
 ], ids=lambda x: getattr(x, "name", str(x)))
 def test_array_ball_matches_oracle_ball_at_benchmark_radii(G, R):
     _assert_same_ball(G, G.origin, R)

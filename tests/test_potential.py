@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from lampharm.graphs import (
     FiniteGraph,
     ball,
+    direct_product,
     free_group_graph,
+    graph_distances,
     grid_graph,
     lamplighter,
     line_graph,
@@ -28,6 +31,7 @@ from lampharm.potential import (
     sign_projection,
     solve_dirichlet,
     split_by_sign,
+    split_values,
 )
 
 
@@ -438,13 +442,11 @@ def test_newton_last_stage_reaches_the_floor(seed, p_residual):
 # the CG kernel against eager references
 
 
-def _bincount_apply(owner, col, n_i, weights, x):
-    """A x by np.bincount over the coupled entries: the reference sum
-    order for the neighbor table."""
-    diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
-    c = col >= 0
-    xc = x[col[c]] if weights is None else weights[c] * x[col[c]]
-    return diag * x - np.bincount(owner[c], weights=xc, minlength=n_i)
+def _bincount_gather(rows, cols, n_rows, weights, x):
+    """sum of weights * x[cols] per row by np.bincount: the reference sum
+    order for the gather table."""
+    xc = x[cols] if weights is None else weights * x[cols]
+    return np.bincount(rows, weights=xc, minlength=n_rows)
 
 
 def _eager_pcg(apply_A, diag, b, x, stop, max_iters):
@@ -479,8 +481,9 @@ def _eager_pcg(apply_A, diag, b, x, stop, max_iters):
 
 def _kernel_cases():
     """(graph, interior) pairs: irregular from_edges graphs whose interior
-    rows couple to the boundary, a ball, a star with one interior
-    vertex, and a hub whose padded table would be over four times its
+    rows couple to the boundary, a ball, a path on which CG runs past
+    its 64-step residual refresh, a star with one interior vertex, and a
+    hub whose full-system table would be over four times its
     entries."""
     rng = random.Random(12)
     for n in (9, 31, 80):
@@ -488,59 +491,295 @@ def _kernel_cases():
         yield g, np.flatnonzero(~g.boundary_mask)
     g = ball(grid_graph(2), IntPoint((0, 0)), 6)
     yield g, np.flatnonzero(~g.boundary_mask)
-    star = FiniteGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)],
-                                  boundary=[1, 2, 3])
-    yield star, np.array([0])
-    k = 40
-    hub = FiniteGraph.from_edges(
-        2 * k + 1, [(0, i) for i in range(1, k + 1)]
-        + [(i, k + i) for i in range(1, k + 1)], boundary=range(k + 1, 2 * k + 1))
+    yield _path(150), np.arange(1, 150)
+    yield _star(3), np.array([0])
+    hub = _hub(40)
     yield hub, np.flatnonzero(~hub.boundary_mask)
 
 
-def test_laplacian_matches_the_bincount_form_bit_for_bit():
+def _star(k):
+    return FiniteGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)],
+                                  boundary=range(1, k + 1))
+
+
+def _hub(k):
+    # a center joined to k leaves, each leaf to its own boundary vertex
+    return FiniteGraph.from_edges(
+        2 * k + 1, [(0, i) for i in range(1, k + 1)]
+        + [(i, k + i) for i in range(1, k + 1)], boundary=range(k + 1, 2 * k + 1))
+
+
+def _even(g, interior):
+    """The interior's distance parity, as solve_dirichlet reads it."""
+    dist = g.center_dist
+    if dist is None:
+        dist = graph_distances(g, np.flatnonzero(g.boundary_mask))
+    return dist[interior] % 2 == 0
+
+
+def _blocks(g, interior):
+    """(rows, cols, n_rows, n_cols, entries) of the whole interior
+    coupling and of the two gathers of its Schur reduction: the red rows
+    on the black columns, and the black rows on every column, with the
+    positions numbered black first."""
+    owner, _, col = potential._interior_rows(g, interior)
+    red = potential._red_set(owner, col, _even(g, interior))
+    n, n_b = len(red), np.count_nonzero(~red)
+    c = col >= 0
+    yield owner[c], col[c], n, n, c
+    num = np.empty(n, dtype=np.int64)
+    num[np.argsort(red, kind="stable")] = np.arange(n)
+    on_r, on_b = c & red[owner], c & ~red[owner]
+    yield num[owner[on_r]] - n_b, num[col[on_r]], n - n_b, n_b, on_r
+    yield num[owner[on_b]], num[col[on_b]], n_b, n, on_b
+
+
+def test_gather_matches_the_bincount_form_bit_for_bit():
     rng = np.random.default_rng(3)
     for g, interior in _kernel_cases():
         owner, _, col = potential._interior_rows(g, interior)
-        n_i = len(interior)
         assert np.any(col < 0)
-        operator = potential._laplacian(owner, col, n_i)
-        for weights in (None, rng.uniform(0.1, 3.0, len(owner))):
-            apply_A, diag = operator(weights)
-            want_diag = np.bincount(owner, weights=weights, minlength=n_i)
-            assert diag.tobytes() == want_diag.astype(float).tobytes()
-            for x in (rng.normal(size=n_i), np.full(n_i, -0.0),
-                      np.where(rng.random(n_i) < 0.5, -0.0, 1.0)):
-                got = apply_A(x)
-                want = _bincount_apply(owner, col, n_i, weights, x)
-                assert got.tobytes() == want.tobytes()
+        hub_sized = False
+        for rows, cols, n_rows, n_cols, sel in _blocks(g, interior):
+            slots = np.bincount(rows, minlength=n_rows).max(initial=0)
+            hub_sized |= slots * n_rows > 4 * len(rows)
+            operator = potential._gather(rows, cols, n_rows, n_cols)
+            for weights in (None, rng.uniform(0.1, 3.0, len(owner))):
+                w = None if weights is None else weights[sel]
+                gather = operator(w)
+                for x in (rng.normal(size=n_cols), np.full(n_cols, -0.0),
+                          np.where(rng.random(n_cols) < 0.5, -0.0, 1.0)):
+                    got = gather(x)
+                    want = _bincount_gather(rows, cols, n_rows, w, x)
+                    assert got.tobytes() == want.tobytes()
+        if g.n == 81:
+            # the hub's whole coupling takes the bincount fallback
+            assert hub_sized
+
+
+def _full_operator(owner, col, n_i, weights):
+    """(x -> A x, diag) of the whole interior system, through _gather."""
+    diag = np.bincount(owner, weights=weights, minlength=n_i).astype(float)
+    c = col >= 0
+    gather = potential._gather(owner[c], col[c], n_i, n_i)(
+        None if weights is None else weights[c])
+    return (lambda x: diag * x - gather(x)), diag
 
 
 def test_pcg_stops_where_an_eager_max_norm_check_does():
     rng = np.random.default_rng(8)
+    # about 1e-160: r z underflows, and _pcg scales r by a power of two
+    tiny = 2.0 ** -532
     for g, interior in _kernel_cases():
         owner, nbr, col = potential._interior_rows(g, interior)
         n_i = len(interior)
-        operator = potential._laplacian(owner, col, n_i)
         # edge weights, the same on both entries of an edge as Newton's
         me = interior[owner]
         edge_w = 0.5 + (me * nbr % 7) + np.cos(me + nbr) ** 2
         for weights in (None, edge_w, 1e10 * edge_w):
-            apply_A, diag = operator(weights)
+            apply_A, diag = _full_operator(owner, col, n_i, weights)
             b = rng.normal(size=n_i)
             # `tight` stops the eager check at step 0; on one interior
             # vertex r z is then exactly stop^2 sum diag
             tight = float(np.max(np.abs(b) / diag))
-            cases = [(1.0, 1e-3, 10**6), (1.0, 1e-10, 10**6),
-                     (1.0, 1e-14, 500), (1.0, 1e-10, 3), (1.0, tight, 10)]
-            if diag.min() > 1e9:
-                # stop^2 underflows to 0, while r z stays above 0 until
-                # max |r| / diag <= stop
-                cases.append((1e-150, 1e-165, 500))
-            for scale, stop, max_iters in cases:
-                rhs = b * scale
-                x, y = np.zeros(n_i), np.zeros(n_i)
-                got = potential._pcg(apply_A, diag, rhs, x, stop, max_iters)
-                want = _eager_pcg(apply_A, diag, rhs, y, stop, max_iters)
+            for stop, max_iters in ((1e-3, 10**6), (1e-10, 10**6),
+                                    (1e-14, 500), (1e-10, 3), (tight, 10)):
+                y = np.zeros(n_i)
+                want = _eager_pcg(apply_A, diag, b, y, stop, max_iters)
+                x = np.zeros(n_i)
+                got = potential._pcg(apply_A, diag, b, x, stop, max_iters)
                 assert got == want
                 assert x.tobytes() == y.tobytes()
+                # scaled by a power of two, CG runs the same steps exactly;
+                # stop^2 underflows, so every step is checked
+                x = np.zeros(n_i)
+                got = potential._pcg(apply_A, diag, b * tiny, x, stop * tiny,
+                                     max_iters)
+                assert got == (want[0], want[1] * tiny)
+                assert x.tobytes() == (y * tiny).tobytes()
+
+
+def test_pcg_converges_where_r_z_underflows():
+    # max |r| / diag near 1e-160 with a stop near 1e-170: r z underflows
+    # from the first step, which stalled or divided by zero before
+    for g, interior in _kernel_cases():
+        owner, _, col = potential._interior_rows(g, interior)
+        apply_A, diag = _full_operator(owner, col, len(interior), None)
+        b = np.random.default_rng(len(interior)).normal(size=len(interior))
+        x = np.zeros(len(interior))
+        steps, res = potential._pcg(apply_A, diag, b * 1e-160, x, 1e-170,
+                                    10**4)
+        assert res <= 1e-170 and steps < 10**4
+        A = np.diag(diag) - np.array([_bincount_gather(
+            owner[col >= 0], col[col >= 0], len(interior), None, e)
+            for e in np.eye(len(interior))]).T
+        want = np.linalg.solve(A, b)
+        assert np.max(np.abs(x * 1e160 - want)) < 1e-8
+    rng = random.Random(12)
+    for n in (9, 31, 80):
+        g = _random_connected(rng, n)
+        bidx = np.flatnonzero(g.boundary_mask)
+        vals = np.random.default_rng(n).normal(size=len(bidx))
+        bvals = {int(i): float(v) * 1e-160 for i, v in zip(bidx, vals)}
+        sol = solve_dirichlet(DirichletProblem(g, bvals, tolerance=0.0))
+        assert sol.stats.residual <= residual_floor(
+            max(map(abs, bvals.values())), 2.0)
+        ref = _dense_reference(g, {i: v * 1e160 for i, v in bvals.items()})
+        assert np.max(np.abs(sol.values * 1e160 - ref)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the red-black reduction
+
+
+def _bipartite_balls():
+    """(name, ball, boundary values): the sign split on each ball, and
+    1 on B_1 against 0 on the sphere on its annulus."""
+    lamp = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    line2 = direct_product(line_graph(), line_graph())
+    for G, R in ((grid_graph(2), 8), (grid_graph(3), 4), (lamp, 6),
+                 (free_group_graph(2), 6), (line2, 7), (line_graph(), 9)):
+        g = ball(G, G.origin, R)
+        yield G.name, g, split_values(g)
+        inner = g.center_dist <= 1
+        g = dataclasses.replace(g, boundary_mask=g.boundary_mask | inner)
+        yield G.name + " annulus", g, {
+            int(i): float(inner[i]) for i in np.flatnonzero(g.boundary_mask)}
+
+
+def _odd_graphs():
+    """Graphs with odd cycles, so that some even vertex has an even
+    neighbor, and the star and hub."""
+    rng = random.Random(5)
+    for n in (5, 7, 9):
+        yield FiniteGraph.from_edges(
+            n, [(i, (i + 1) % n) for i in range(n)], boundary=[0, 2])
+    yield FiniteGraph.from_edges(
+        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], boundary=[0])
+    yield FiniteGraph.from_edges(
+        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)],
+        boundary=[4, 0])
+    for _ in range(8):
+        yield _random_connected(rng, rng.randrange(8, 60))
+    yield _star(5)
+    yield _hub(40)
+
+
+def test_red_set_is_independent_and_every_even_layer_on_a_bipartite_ball():
+    cases = [(name, g, True) for name, g, _ in _bipartite_balls()]
+    cases += [("odd", g, False) for g in _odd_graphs()]
+    saw_clash = False
+    for name, g, bipartite in cases:
+        interior = np.flatnonzero(~g.boundary_mask)
+        owner, _, col = potential._interior_rows(g, interior)
+        even = _even(g, interior)
+        red = potential._red_set(owner, col, even)
+        c = col >= 0
+        assert not np.any(red[owner[c]] & red[col[c]]), name
+        assert not np.any(red & ~even), name
+        if bipartite:
+            assert red.tolist() == even.tolist(), name
+        saw_clash |= red.tolist() != even.tolist()
+    assert saw_clash
+
+
+def _eager_full_steps(g, bvals, stop):
+    """CG steps of the eager Jacobi-CG reference on the whole interior
+    system, from the boundary mean as the solver starts."""
+    interior = np.flatnonzero(~g.boundary_mask)
+    owner, nbr, col = potential._interior_rows(g, interior)
+    f = np.zeros(g.n)
+    for i, v in bvals.items():
+        f[i] = v
+    fixed = col < 0
+    b = np.bincount(owner[fixed], weights=f[nbr[fixed]],
+                    minlength=len(interior))
+    diag = np.bincount(owner, minlength=len(interior)).astype(float)
+    c = col >= 0
+
+    def apply_A(x):
+        return diag * x - _bincount_gather(owner[c], col[c], len(interior),
+                                           None, x)
+
+    x = np.full(len(interior), np.mean(list(bvals.values())))
+    steps, res = _eager_pcg(apply_A, diag, b, x, stop, 10**6)
+    assert res <= stop
+    return steps
+
+
+def test_reduced_cg_takes_about_half_the_full_system_steps():
+    for name, g, bvals in _bipartite_balls():
+        prob = DirichletProblem(g, bvals)
+        k = _eager_full_steps(g, bvals, _stop(prob))
+        steps = solve_dirichlet(prob).stats.iterations
+        assert steps <= (k + 1) // 2 + 1, (name, k)
+
+
+def test_grid_capacity_takes_half_the_cg_steps():
+    # the benchmark's largest solve: 174 Jacobi-CG steps on the whole
+    # interior system
+    g = ball(grid_graph(2), IntPoint((0, 0)), 64)
+    inner = g.center_dist <= 1
+    mask = inner | g.boundary_mask
+    idx = np.flatnonzero(mask)
+    prob = DirichletProblem(dataclasses.replace(g, boundary_mask=mask),
+                            dict(zip(idx.tolist(), inner[idx].astype(float))))
+    assert solve_dirichlet(prob).stats.iterations <= 88
+
+
+def _dense_p_reference(g, bvals, p):
+    """Damped Newton on the exact p-energy with dense Hessians, from the
+    dense p=2 solution: an independent route to the p-harmonic values.
+    The Hessian's edge weights are clipped to [1e-12, 1e12], where an
+    edge difference is 0; the gradient is exact."""
+    f = _dense_reference(g, bvals)
+    if p == 2.0:
+        return f
+    e = g.edges()
+    inner = np.flatnonzero(~g.boundary_mask)
+    pos = np.full(g.n, -1)
+    pos[inner] = np.arange(len(inner))
+
+    def energy(v):
+        return float(np.sum(np.abs(v[e[:, 1]] - v[e[:, 0]]) ** p))
+
+    for _ in range(200):
+        d = f[e[:, 1]] - f[e[:, 0]]
+        flux = p * np.sign(d) * np.abs(d) ** (p - 1.0)
+        grad = np.zeros(g.n)
+        np.add.at(grad, e[:, 1], flux)
+        np.add.at(grad, e[:, 0], -flux)
+        H = np.zeros((g.n, g.n))
+        with np.errstate(divide="ignore"):
+            w = np.clip(p * (p - 1.0) * np.abs(d) ** (p - 2.0), 1e-12, 1e12)
+        for (u, v), wt in zip(e, w):
+            H[u, u] += wt
+            H[v, v] += wt
+            H[u, v] -= wt
+            H[v, u] -= wt
+        if np.max(np.abs(grad[inner])) < 1e-15:
+            break
+        step = np.zeros(g.n)
+        step[inner] = np.linalg.solve(H[np.ix_(inner, inner)], -grad[inner])
+        t, e0 = 1.0, energy(f)
+        while t > 1e-12 and energy(f + t * step) > e0:
+            t *= 0.5
+        f = f + t * step
+    return f
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_reduced_solves_match_dense_solves_off_bipartite_graphs(p):
+    rng = np.random.default_rng(int(10 * p))
+    for g in _odd_graphs():
+        bidx = np.flatnonzero(g.boundary_mask)
+        if len(bidx) < 2 and p == 2.0:
+            continue
+        bvals = {int(i): float(v)
+                 for i, v in zip(bidx, rng.normal(size=len(bidx)))}
+        prob = DirichletProblem(g, bvals, p=p, tolerance=0.0)
+        sol = solve_dirichlet(prob)
+        assert sol.stats.residual <= _stop(prob)
+        if len(bidx) > 1:
+            want = _dense_p_reference(g, bvals, p)
+            assert np.max(np.abs(sol.values - want)) < 1e-8

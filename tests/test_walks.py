@@ -15,13 +15,14 @@ from lampharm.graphs import (
     ball,
     caterpillar_graph,
     cycle_graph,
+    direct_product,
     free_group_graph,
     grid_graph,
     lamplighter,
     line_graph,
     path_graph,
 )
-from lampharm.keys import IntPoint, LampKey, VertexKey, WordKey
+from lampharm.keys import IntPoint, LampKey, PairKey, VertexKey, WordKey
 from lampharm.walks import (
     BATCH_TRIALS,
     WalkConfig,
@@ -302,12 +303,16 @@ def _lamp(site):
     (caterpillar_graph(), (None, None), 0.5, 3000, 12),
     (caterpillar_graph(), (IntPoint((2, 1)), IntPoint((-1, 0))), 0.0,
      BATCH_TRIALS + 1, 5),
+    (direct_product(line_graph(), line_graph()), (None, None), 0.5, 3000, 12),
+    (direct_product(grid_graph(2), line_graph()),
+     (PairKey(IntPoint((1, -2)), IntPoint((3,))), None), 0.0, 3000, 12),
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-beyond-row-cap",
         "lamp-eager", "lamp-second-lamp-word", "lamp-second-lamp-word-eager",
         "lamp-root-1", "free2", "free3", "free2-eager-batches",
         "free1-eager-returns", "free2-eager-returns",
         "line", "grid2", "grid3-eager", "caterpillar",
-        "caterpillar-leaf-eager-batches"])
+        "caterpillar-leaf-eager-batches", "product-line-line",
+        "product-grid2-line-eager"])
 def test_array_engine_matches_object_engine(G, starts, laziness, trials,
                                             steps):
     """Same RNG draws, same trajectories: the array engine and the object
@@ -345,3 +350,12 @@ def test_only_the_encoded_families_carry_an_array_walk():
     assert caterpillar_graph().step_fn is None
     assert lamplighter(L, caterpillar_graph(),
                        IntPoint((0,))).walk_encoding is None
+    # a product of two lattices, its factors told by their step functions
+    assert direct_product(line_graph(), line_graph()).walk_encoding is not None
+    assert direct_product(grid_graph(3), grid_graph(1)).walk_encoding is not None
+    renamed = dataclasses.replace(line_graph(), name="axis")
+    assert direct_product(renamed, grid_graph(2)).walk_encoding is not None
+    assert direct_product(line_graph(), cycle_graph(5)).walk_encoding is None
+    assert direct_product(path_graph(2), line_graph()).walk_encoding is None
+    impostor = dataclasses.replace(cycle_graph(5), name="line")
+    assert direct_product(impostor, line_graph()).walk_encoding is None
