@@ -76,7 +76,7 @@ from .walks import (
     tv_distance,
     walk_series,
 )
-from .report import ExperimentReport, dirichlet_json, fmt_value, write_csv
+from .report import ExperimentReport, dirichlet_json, fmt_value
 
 __all__ = [
     "__version__",
@@ -101,5 +101,5 @@ __all__ = [
     "verify_gradient_bound",
     "ContrastReport", "WalkConfig", "WalkSeries", "chi_square_uniform",
     "liouville_contrast", "simulate_walks", "tv_distance", "walk_series",
-    "ExperimentReport", "dirichlet_json", "fmt_value", "write_csv",
+    "ExperimentReport", "dirichlet_json", "fmt_value",
 ]

@@ -3,7 +3,7 @@ isoperimetric profiles, spanning-line search, random-walk contrast, and
 canned reproduction suites.
 
 Exit codes: 0 success, 1 a verdict failed (or the search proved the
-target absent), 2 usage or descriptor error, 3 budget or timeout.
+target absent), 2 usage, descriptor or input error, 3 budget or timeout.
 """
 
 from __future__ import annotations
@@ -362,15 +362,17 @@ def cmd_liouville(args):
     return EXIT_OK if report.all_passed else EXIT_VERDICT
 
 
-def _reproduce_oscillation(args):
-    budget = _resolve_budget(args)
+def oscillation_suite(seed=42, budget=None):
+    """The `reproduce lamplighter-oscillation` report: fixed-window
+    oscillation decay on the lamplighter, the free-group plateau and
+    annulus capacities (acceptance criteria 6 and 8)."""
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
     F = free_group_graph(2)
     report = ExperimentReport(
         manifest={
             "command": "reproduce",
             "suite": OSCILLATION_SUITE,
-            "seed": args.seed,
+            "seed": seed,
             "interpretation": (
                 "probe of conditions (3_p)/(4_p): oscillation of harmonic "
                 "extensions of a sign split, on a fixed inner window as "
@@ -442,13 +444,14 @@ def _reproduce_oscillation(args):
     return report
 
 
-def _reproduce_growth(args):
-    budget = _resolve_budget(args)
+def growth_suite(seed=42, budget=None):
+    """The `reproduce product-growth` report: growth exponents
+    (acceptance criterion 7) and the path closed form."""
     report = ExperimentReport(
         manifest={
             "command": "reproduce",
             "suite": GROWTH_SUITE,
-            "seed": args.seed,
+            "seed": seed,
             "interpretation": (
                 "growth-dimension hypothesis behind the product "
                 "construction, plus solver closed-form checks"
@@ -460,6 +463,10 @@ def _reproduce_growth(args):
     report.add_series(
         "grid_growth", list(zip(est_grid.radii,
                                 (float(s) for s in est_grid.sizes)))
+    )
+    report.add_series(
+        "grid_growth_ci",
+        [("ci_low", est_grid.ci_low), ("ci_high", est_grid.ci_high)],
     )
     report.add_verdict(
         "grid_growth_dimension",
@@ -516,13 +523,11 @@ def _reproduce_growth(args):
     return report
 
 
+SUITES = {OSCILLATION_SUITE: oscillation_suite, GROWTH_SUITE: growth_suite}
+
+
 def cmd_reproduce(args):
-    if args.suite == OSCILLATION_SUITE:
-        report = _reproduce_oscillation(args)
-    elif args.suite == GROWTH_SUITE:
-        report = _reproduce_growth(args)
-    else:
-        raise DescriptorError(f"unknown suite {args.suite!r}")
+    report = SUITES[args.suite](args.seed, _resolve_budget(args))
     _echo_verdicts(report)
     _write_report(report, args, args.suite.replace("-", "_"))
     return EXIT_OK if report.all_passed else EXIT_VERDICT
@@ -580,9 +585,10 @@ def build_parser():
     i.set_defaults(fn=cmd_isoprofile)
 
     l = sp.add_parser("spanline", help="spanning-line search in the k-fuzz")
-    l.add_argument("--descriptor", default=None)
-    l.add_argument("--edge-list", default=None,
-                   help="file of 'u v' lines (vertex indices)")
+    source = l.add_mutually_exclusive_group(required=True)
+    source.add_argument("--descriptor")
+    source.add_argument("--edge-list",
+                        help="file of 'u v' lines (vertex indices)")
     l.add_argument("--radius", "-R", type=int, default=3)
     l.add_argument("-k", type=int, default=1)
     l.add_argument("--exact", action="store_true",
@@ -604,7 +610,7 @@ def build_parser():
     w.set_defaults(fn=cmd_liouville)
 
     r = sp.add_parser("reproduce", help="canned experiment suites")
-    r.add_argument("suite", choices=(OSCILLATION_SUITE, GROWTH_SUITE))
+    r.add_argument("suite", choices=SUITES)
     _add_common(r)
     r.set_defaults(fn=cmd_reproduce)
     return ap
@@ -619,7 +625,7 @@ def main(argv=None):
         print(json.dumps({"error": "descriptor", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (FileNotFoundError, ValueError) as e:
         print(json.dumps({"error": "input", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_USAGE

@@ -198,26 +198,3 @@ def format_key(key):
     if isinstance(key, PairKey):
         return f"<{format_key(key.left)};{format_key(key.right)}>"
     raise TypeError(f"not a vertex key: {key!r}")
-
-
-def key_to_jsonable(key):
-    """Structured JSON-compatible encoding (round-trippable in principle)."""
-    if isinstance(key, IntPoint):
-        return {"t": "int", "v": list(key.coords)}
-    if isinstance(key, WordKey):
-        return {"t": "word", "v": list(key.letters)}
-    if isinstance(key, LampKey):
-        return {
-            "t": "lamp",
-            "base": key_to_jsonable(key.base),
-            "lamps": [
-                [key_to_jsonable(h), key_to_jsonable(l)] for h, l in key.lamps
-            ],
-        }
-    if isinstance(key, PairKey):
-        return {
-            "t": "pair",
-            "left": key_to_jsonable(key.left),
-            "right": key_to_jsonable(key.right),
-        }
-    raise TypeError(f"not a vertex key: {key!r}")

@@ -77,14 +77,6 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header, rows):
-    """Write csv_text(header, rows) to path; returns the text written."""
-    text = csv_text(header, rows)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
-
-
 def dirichlet_json(descriptor, R, p, boundary_values, solution, residual,
                    energy):
     """Serialized Dirichlet problem and result."""

@@ -1,0 +1,56 @@
+"""Random Dirichlet instances shared by the acceptance criteria and the
+solver tests, and the dense solve that checks the iterative solvers."""
+
+import random
+
+import numpy as np
+
+from lampharm.graphs import FiniteGraph
+
+
+def random_connected(rng, n):
+    """A random recursive tree on n vertices plus up to n // 2 random
+    chords, with max(2, n // 5) random boundary vertices."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    for _ in range(n // 2):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            edges.append((min(i, j), max(i, j)))
+    edges = sorted(set((min(a, b), max(a, b)) for a, b in edges))
+    boundary = rng.sample(range(n), max(2, n // 5))
+    return FiniteGraph.from_edges(n, edges, boundary=boundary)
+
+
+def normal_boundary_values(g, nrng):
+    """Standard normal values on g's boundary vertices, drawn in vertex
+    order."""
+    bidx = np.flatnonzero(g.boundary_mask)
+    return {int(i): float(v)
+            for i, v in zip(bidx, nrng.normal(size=len(bidx)))}
+
+
+def criterion_3_instances():
+    """The 15 random (graph, boundary values, p) instances of acceptance
+    criterion 3."""
+    rng = random.Random(33)
+    nrng = np.random.default_rng(33)
+    for _ in range(15):
+        g = random_connected(rng, rng.randrange(8, 60))
+        yield g, normal_boundary_values(g, nrng), rng.choice([1.5, 2.0, 3.0])
+
+
+def dense_reference(g, bvals):
+    """The p=2 Dirichlet solution by an independent route: assemble the
+    mean-value system densely and solve it directly."""
+    n = g.n
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    for v in range(n):
+        if g.boundary_mask[v]:
+            A[v, v] = 1.0
+            b[v] = bvals[v]
+        else:
+            A[v, v] = len(g.adj[v])
+            for w in g.adj[v]:
+                A[v, w] -= 1.0
+    return np.linalg.solve(A, b)

@@ -1,15 +1,25 @@
 """Acceptance gate: ten numbered criteria, each printing one pass/fail
 line (echoed in the pytest terminal summary) and asserting its verdict.
 
-Runtime-sensitive criteria time themselves against their budgets. The
-oscillation criterion reads the harmonic extension on a fixed inner
-window (inner_radius=2) so the decay it asserts is the homogenization
-of the boundary split, not the geometry of a window that grows with R;
-the README glossary spells out the taxonomy. The walk criterion
-compares the TV margin between checkpoints against the split-half
-baseline's own margin, so the verdict is about TV sinking toward the
-estimator's noise floor rather than about raw values the estimator
-cannot resolve at desk scale.
+Runtime-sensitive criteria time themselves against their budgets.
+
+Criteria 1-3 draw their random instances from `_instances`, which the
+solver tests share, and check the solver against its dense solve.
+
+Criteria 6-8 run the `lampharm reproduce` suites (`cli.oscillation_suite`
+and `cli.growth_suite`) once each and assert the verdicts of their
+reports, so each experiment's radii, p values and thresholds are
+defined in one place, the suite. Criterion 6's runtime is that of the
+whole oscillation suite, capacities included. The oscillation suite
+reads the harmonic extension on a fixed inner window (B_2) so the decay
+it asserts is the homogenization of the boundary split, not the
+geometry of a window that grows with R; the README glossary spells out
+the taxonomy.
+
+The walk criterion compares the TV margin between checkpoints against
+the split-half baseline's own margin, so the verdict is about TV
+sinking toward the estimator's noise floor rather than about raw values
+the estimator cannot resolve at desk scale.
 """
 
 import functools
@@ -19,25 +29,23 @@ import time
 import numpy as np
 
 import _acceptance_log
+from _instances import (
+    criterion_3_instances,
+    dense_reference,
+    normal_boundary_values,
+    random_connected,
+)
+from lampharm.cli import growth_suite, oscillation_suite
 from lampharm.graphs import (
     FiniteGraph,
-    ball,
     caterpillar_graph,
     free_group_graph,
-    grid_graph,
     lamplighter,
     line_graph,
     path_graph,
 )
-from lampharm.isoperimetry import growth_exponent
 from lampharm.keys import IntPoint, LampKey
-from lampharm.potential import (
-    DirichletProblem,
-    annulus_capacity,
-    oscillation_probe,
-    p_energy,
-    solve_dirichlet,
-)
+from lampharm.potential import DirichletProblem, p_energy, solve_dirichlet
 from lampharm.spanning import (
     augment_ball,
     augment_with_line,
@@ -54,34 +62,6 @@ def _report(num, ok, detail):
     _acceptance_log.LINES.append(line)
     print(line)
     return ok
-
-
-def _random_connected(rng, n):
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    for _ in range(n // 2):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            edges.append((min(i, j), max(i, j)))
-    edges = sorted(set((min(a, b), max(a, b)) for a, b in edges))
-    boundary = rng.sample(range(n), max(2, n // 5))
-    return FiniteGraph.from_edges(n, edges, boundary=boundary)
-
-
-def _dense_reference(g, bvals):
-    # independent oracle: assemble the mean-value system densely and
-    # solve it directly
-    n = g.n
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    for v in range(n):
-        if g.boundary_mask[v]:
-            A[v, v] = 1.0
-            b[v] = bvals[v]
-        else:
-            A[v, v] = len(g.adj[v])
-            for w in g.adj[v]:
-                A[v, w] -= 1.0
-    return np.linalg.solve(A, b)
 
 
 def _tracked_solve(g, bvals, p, tolerance, margins):
@@ -107,12 +87,10 @@ def _dense_comparison_runs():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        g = _random_connected(rng, rng.randrange(10, 201))
-        bidx = np.where(g.boundary_mask)[0]
-        bvals = {int(i): float(v) for i, v in
-                 zip(bidx, nrng.normal(size=len(bidx)))}
+        g = random_connected(rng, rng.randrange(10, 201))
+        bvals = normal_boundary_values(g, nrng)
         sol = _tracked_solve(g, bvals, 2.0, 1e-12, margins)
-        ref = _dense_reference(g, bvals)
+        ref = dense_reference(g, bvals)
         worst = max(worst, float(np.max(np.abs(sol.values - ref))))
     return worst, time.perf_counter() - t0, tuple(margins)
 
@@ -144,6 +122,24 @@ def _closed_form_runs():
     return worst_path, worst_cyc, tuple(margins)
 
 
+@functools.cache
+def _suite_run(suite):
+    """(report, runtime) of one `lampharm reproduce` suite, run once for
+    all the criteria that read it."""
+    t0 = time.perf_counter()
+    report = suite()
+    return report, time.perf_counter() - t0
+
+
+def _passed(report, *verdicts):
+    return all(report.verdicts[name]["passed"] for name in verdicts)
+
+
+def _values(report, series):
+    """One series of a report, its values joined as a/b/c."""
+    return "/".join(f"{v:.3f}" for _, v in report.series[series])
+
+
 def test_criterion_01_iterative_matches_dense_solve():
     worst, dt, _ = _dense_comparison_runs()
     ok = worst <= 1e-8 and dt < 10.0
@@ -166,14 +162,7 @@ def test_criterion_02_closed_form_solutions():
 
 def test_criterion_03_maximum_principle():
     margins = [*_dense_comparison_runs()[2], *_closed_form_runs()[2]]
-    rng = random.Random(33)
-    nrng = np.random.default_rng(33)
-    for _ in range(15):
-        g = _random_connected(rng, rng.randrange(8, 60))
-        bidx = np.where(g.boundary_mask)[0]
-        bvals = {int(i): float(v) for i, v in
-                 zip(bidx, nrng.normal(size=len(bidx)))}
-        p = rng.choice([1.5, 2.0, 3.0])
+    for g, bvals, p in criterion_3_instances():
         _tracked_solve(g, bvals, p, 1e-10, margins)
     violations = sum(1 for m in margins if m > 0)
     ok = violations == 0 and len(margins) >= 65
@@ -191,7 +180,7 @@ def test_criterion_04_edge_deletion_monotonicity():
     violations = 0
     for _ in range(1000):
         n = rng.randrange(6, 41)
-        g = _random_connected(rng, n)
+        g = random_connected(rng, n)
         edges = [tuple(e) for e in g.edges().tolist()]
         keep = [e for e in edges if rng.random() < 0.6]
         sub = FiniteGraph.from_edges(n, keep, boundary=[])
@@ -241,68 +230,45 @@ def test_criterion_05_augmentation_gradient_bound():
 
 
 def test_criterion_06_oscillation_decay_and_plateau():
-    t0 = time.perf_counter()
-    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
-    series = {}
-    decay_ok = True
-    for p in (1.5, 2.0):
-        vals = []
-        for R in (4, 6, 8):
-            osc, _ = oscillation_probe(G, G.origin, R, p, inner_radius=2)
-            vals.append(osc)
-        series[p] = vals
-        decay_ok = decay_ok and all(
-            a - b > 1e-3 for a, b in zip(vals, vals[1:])
-        )
-    F = free_group_graph(2)
-    free_vals = []
-    for R in (3, 4, 5):
-        osc, _ = oscillation_probe(F, F.origin, R, 2.0)
-        free_vals.append(osc)
-    plateau_ok = all(v > 0.2 for v in free_vals)
-    dt = time.perf_counter() - t0
-    ok = decay_ok and plateau_ok and dt < 300.0
-    fmt = lambda xs: "/".join(f"{x:.3f}" for x in xs)
+    report, dt = _suite_run(oscillation_suite)
+    ok = dt < 300.0 and _passed(
+        report, "fixed_window_decay_p1.5", "fixed_window_decay_p2",
+        "free_group_plateau")
     assert _report(
         6, ok,
         f"lamplighter fixed-window oscillation decays "
-        f"p=1.5: {fmt(series[1.5])}, p=2: {fmt(series[2.0])} "
-        f"(margin 1e-3); free group stays {fmt(free_vals)} > 0.2; "
+        f"p=1.5: {_values(report, 'lamplighter_fixed_window_p1.5')}, "
+        f"p=2: {_values(report, 'lamplighter_fixed_window_p2')} "
+        f"(margin 1e-3); free group stays "
+        f"{_values(report, 'free_group_half_ball_p2')} > 0.2; "
         f"runtime {dt:.1f}s (< 300s)",
     )
 
 
 def test_criterion_07_growth_exponents():
-    grid = growth_exponent(grid_graph(2), 15)
-    lamp = growth_exponent(
-        lamplighter(path_graph(2), line_graph(), IntPoint((0,))), 8
-    )
-    ok = abs(grid.exponent - 2.0) <= 0.15 and lamp.superpolynomial
+    report, _ = _suite_run(growth_suite)
+    ok = _passed(report, "grid_growth_dimension",
+                 "lamplighter_superpolynomial")
+    ci = dict(report.series["grid_growth_ci"])
     assert _report(
         7, ok,
-        f"grid growth exponent {grid.exponent:.3f} in 2.0 +/- 0.15 "
-        f"(CI [{grid.ci_low:.3f}, {grid.ci_high:.3f}]); lamplighter "
-        f"flagged superpolynomial at Rmax=8: {lamp.superpolynomial}",
+        f"grid growth exponent "
+        f"{report.verdicts['grid_growth_dimension']['value']:.3f} in "
+        f"2.0 +/- 0.15 (CI [{ci['ci_low']:.3f}, {ci['ci_high']:.3f}]); "
+        f"lamplighter flagged superpolynomial at Rmax=8: "
+        f"{report.verdicts['lamplighter_superpolynomial']['value']}",
     )
 
 
 def test_criterion_08_capacity_decay():
-    grid = grid_graph(2)
-    caps = [
-        annulus_capacity(grid, IntPoint((0, 0)), 1, R, p=2.0)
-        for R in (4, 8, 16)
-    ]
-    decreasing = caps[0] > caps[1] > caps[2]
-    line = line_graph()
-    worst = 0.0
-    for R in (4, 8, 16):
-        c = annulus_capacity(line, IntPoint((0,)), 1, R, p=2.0)
-        worst = max(worst, abs(c - 2.0 / (R - 1)))
-    ok = decreasing and worst <= 1e-8
+    report, _ = _suite_run(oscillation_suite)
+    ok = _passed(report, "grid_capacity_decay", "line_capacity_closed_form")
+    radii = "/".join(str(R) for R, _ in report.series["grid_capacity"])
+    worst = report.verdicts["line_capacity_closed_form"]["value"]
     assert _report(
         8, ok,
         f"grid capacity strictly decreasing "
-        f"{caps[0]:.3f}/{caps[1]:.3f}/{caps[2]:.3f} over R=4/8/16; "
+        f"{_values(report, 'grid_capacity')} over R={radii}; "
         f"line matches 2/(R-1) within {worst:.3g} (tol 1e-8)",
     )
 

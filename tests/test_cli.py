@@ -193,6 +193,59 @@ def test_reproduce_oscillation_suite_passes(tmp_path, capsys):
     assert "lamplighter_fixed_window_p2" in csv_text
 
 
+@pytest.mark.parametrize("suite", ["lamplighter-oscillation",
+                                   "product-growth"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reproduce_rerun_is_byte_identical(tmp_path, capsys, suite, fmt):
+    name = f"{suite.replace('-', '_')}.{fmt}"
+    runs = []
+    for out in ("one", "two"):
+        assert main(["reproduce", suite, "--format", fmt,
+                     "--out-dir", str(tmp_path / out)]) == 0
+        runs.append((tmp_path / out / name).read_bytes())
+    assert runs[0] == runs[1]
+
+
+LINE = '{"family": "line"}'
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["spanline", "-k", "1"], None, id="spanline-no-graph"),
+    pytest.param(["spanline", "--edge-list", "{file}"], "0 1 2\n",
+                 id="edge-list-three-fields"),
+    pytest.param(["spanline", "--edge-list", "{file}"], "0 x\n",
+                 id="edge-list-not-an-int"),
+    pytest.param(["solve", "--descriptor", LINE, "-R", "3",
+                  "--boundary-file", "{file}"], '{"a": 1}',
+                 id="boundary-file-not-an-index"),
+    pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "a"], None,
+                 id="d-list-not-a-number"),
+    pytest.param(["capacity", "--descriptor", LINE, "-r", "0", "-R", "3"],
+                 None, id="capacity-r-0"),
+    pytest.param(["build-graph", "--descriptor", LINE, "-R", "-1"], None,
+                 id="negative-radius"),
+    pytest.param(["liouville", "--descriptor-a", LINE, "--descriptor-b",
+                  LINE, "--trials", "0"], None, id="zero-trials"),
+    pytest.param(["solve", "--descriptor", LINE, "-R", "3", "--p", "1"],
+                 None, id="solve-p-1"),
+])
+def test_input_errors_exit_2(tmp_path, capsys, argv, text):
+    # exit 1 means a verdict failed or absence was proved, so bad input
+    # must not end there
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the usage itself
+        assert e.code == 2
+        assert "one of the arguments" in capsys.readouterr().err
+        return
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as e:
         main(["--version"])

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from lampharm.keys import (
@@ -8,7 +6,6 @@ from lampharm.keys import (
     PairKey,
     WordKey,
     format_key,
-    key_to_jsonable,
 )
 
 
@@ -93,15 +90,3 @@ def test_cross_variant_ordering_is_total():
     once = sorted(keys)
     assert sorted(reversed(once)) == once
 
-
-def test_key_to_jsonable_roundtrips_through_json():
-    root = IntPoint((0,))
-    keys = [
-        IntPoint((0, -3)),
-        WordKey((1, 2, -1)),
-        LampKey.make(IntPoint((1,)), {IntPoint((0,)): IntPoint((1,))}, root),
-        PairKey(IntPoint((0,)), WordKey((2,))),
-    ]
-    for k in keys:
-        blob = json.dumps(key_to_jsonable(k))
-        assert json.loads(blob) == key_to_jsonable(k)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from _instances import criterion_3_instances, dense_reference, random_connected
 from lampharm.graphs import (
     FiniteGraph,
     ball,
@@ -39,36 +40,6 @@ def _path(n):
     return FiniteGraph.from_edges(
         n + 1, [(i, i + 1) for i in range(n)], boundary=[0, n]
     )
-
-
-def _random_connected(rng, n):
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    extra = n // 2
-    for _ in range(extra):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            edges.append((min(i, j), max(i, j)))
-    edges = sorted(set((min(a, b), max(a, b)) for a, b in edges))
-    k = max(2, n // 5)
-    boundary = rng.sample(range(n), k)
-    return FiniteGraph.from_edges(n, edges, boundary=boundary)
-
-
-def _dense_reference(g, bvals):
-    # independent route: assemble the full mean-value system and solve
-    # it directly
-    n = g.n
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    for v in range(n):
-        if g.boundary_mask[v]:
-            A[v, v] = 1.0
-            b[v] = bvals[v]
-        else:
-            A[v, v] = len(g.adj[v])
-            for w in g.adj[v]:
-                A[v, w] -= 1.0
-    return np.linalg.solve(A, b)
 
 
 def test_gradient_and_energy_simple():
@@ -131,12 +102,12 @@ def test_four_cycle_two_pins():
 def test_cg_matches_dense_solve():
     rng = random.Random(3)
     for _ in range(10):
-        g = _random_connected(rng, rng.randrange(10, 60))
+        g = random_connected(rng, rng.randrange(10, 60))
         bvals = {
             int(i): rng.uniform(-1, 1) for i in np.where(g.boundary_mask)[0]
         }
         sol = solve_dirichlet(DirichletProblem(g, bvals, tolerance=1e-13))
-        ref = _dense_reference(g, bvals)
+        ref = dense_reference(g, bvals)
         assert np.max(np.abs(sol.values - ref)) < 1e-8
 
 
@@ -153,7 +124,7 @@ def test_solution_is_harmonic():
 def test_maximum_principle_random_instances():
     rng = random.Random(17)
     for _ in range(15):
-        g = _random_connected(rng, rng.randrange(8, 40))
+        g = random_connected(rng, rng.randrange(8, 40))
         bvals = {
             int(i): rng.uniform(-5, 5) for i in np.where(g.boundary_mask)[0]
         }
@@ -356,22 +327,10 @@ def _lamp_sign_split(R):
                for i in np.where(g.boundary_mask)[0]}
 
 
-def _criterion_3_instances():
-    # the random instances of acceptance criterion 3, drawn the same way
-    rng = random.Random(33)
-    nrng = np.random.default_rng(33)
-    for _ in range(15):
-        g = _random_connected(rng, rng.randrange(8, 60))
-        bidx = np.where(g.boundary_mask)[0]
-        yield g, {int(i): float(v)
-                  for i, v in zip(bidx, nrng.normal(size=len(bidx)))}
-        rng.choice([1.5, 2.0, 3.0])
-
-
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_newton_reaches_the_stop_rule(p, p_residual):
     cases = [_lamp_sign_split(R) for R in (4, 6, 8)]
-    cases += list(_criterion_3_instances())
+    cases += [(g, bvals) for g, bvals, _ in criterion_3_instances()]
     for g, bvals in cases:
         prob = DirichletProblem(g, bvals, p=p)
         sol = solve_dirichlet(prob)
@@ -430,7 +389,7 @@ def test_newton_last_stage_reaches_the_floor(seed, p_residual):
     # small p-1 makes these instances need the last stage, whose eps is
     # at the rounding of the values
     rng = random.Random(seed)
-    g = _random_connected(rng, rng.randrange(8, 30))
+    g = random_connected(rng, rng.randrange(8, 30))
     bvals = {int(i): rng.uniform(-1, 1) for i in np.where(g.boundary_mask)[0]}
     prob = DirichletProblem(g, bvals, p=1.3, tolerance=0.0)
     sol = solve_dirichlet(prob)
@@ -487,7 +446,7 @@ def _kernel_cases():
     entries."""
     rng = random.Random(12)
     for n in (9, 31, 80):
-        g = _random_connected(rng, n)
+        g = random_connected(rng, n)
         yield g, np.flatnonzero(~g.boundary_mask)
     g = ball(grid_graph(2), IntPoint((0, 0)), 6)
     yield g, np.flatnonzero(~g.boundary_mask)
@@ -617,14 +576,14 @@ def test_pcg_converges_where_r_z_underflows():
         assert np.max(np.abs(x * 1e160 - want)) < 1e-8
     rng = random.Random(12)
     for n in (9, 31, 80):
-        g = _random_connected(rng, n)
+        g = random_connected(rng, n)
         bidx = np.flatnonzero(g.boundary_mask)
         vals = np.random.default_rng(n).normal(size=len(bidx))
         bvals = {int(i): float(v) * 1e-160 for i, v in zip(bidx, vals)}
         sol = solve_dirichlet(DirichletProblem(g, bvals, tolerance=0.0))
         assert sol.stats.residual <= residual_floor(
             max(map(abs, bvals.values())), 2.0)
-        ref = _dense_reference(g, {i: v * 1e160 for i, v in bvals.items()})
+        ref = dense_reference(g, {i: v * 1e160 for i, v in bvals.items()})
         assert np.max(np.abs(sol.values * 1e160 - ref)) < 1e-8
 
 
@@ -660,7 +619,7 @@ def _odd_graphs():
         5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)],
         boundary=[4, 0])
     for _ in range(8):
-        yield _random_connected(rng, rng.randrange(8, 60))
+        yield random_connected(rng, rng.randrange(8, 60))
     yield _star(5)
     yield _hub(40)
 
@@ -732,7 +691,7 @@ def _dense_p_reference(g, bvals, p):
     dense p=2 solution: an independent route to the p-harmonic values.
     The Hessian's edge weights are clipped to [1e-12, 1e12], where an
     edge difference is 0; the gradient is exact."""
-    f = _dense_reference(g, bvals)
+    f = dense_reference(g, bvals)
     if p == 2.0:
         return f
     e = g.edges()

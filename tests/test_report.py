@@ -9,7 +9,6 @@ from lampharm.report import (
     ExperimentReport,
     dirichlet_json,
     fmt_value,
-    write_csv,
 )
 
 
@@ -67,14 +66,6 @@ def test_fmt_value_variants():
     # 17 significant digits round-trip doubles exactly
     x = 1.0 / 3.0
     assert float(fmt_value(x)) == x
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    write_csv(str(path), ["a", "b"], [(1, 0.5), (2, 0.25)])
-    text = path.read_text()
-    assert text.splitlines()[0] == "a,b"
-    assert len(text.splitlines()) == 3
 
 
 def test_dirichlet_json_contains_solution_and_boundary():
