@@ -41,7 +41,6 @@ from .potential import (
     residual_floor,
     sign_projection,
     solve_dirichlet,
-    split_by_sign,
 )
 from .isoperimetry import (
     GrowthEstimate,
@@ -66,16 +65,7 @@ from .spanning import (
     find_spanning_line,
     verify_gradient_bound,
 )
-from .walks import (
-    ContrastReport,
-    WalkConfig,
-    WalkSeries,
-    chi_square_uniform,
-    liouville_contrast,
-    simulate_walks,
-    tv_distance,
-    walk_series,
-)
+from .walks import WalkConfig, WalkSeries, tv_distance, walk_series
 from .report import ExperimentReport, dirichlet_json, fmt_value
 
 __all__ = [
@@ -92,14 +82,12 @@ __all__ = [
     "annulus_capacity", "gradient", "harmonic_residual",
     "oscillation_probe", "p_energy", "residual_floor", "sign_projection",
     "solve_dirichlet",
-    "split_by_sign",
     "GrowthEstimate", "IsoProfilePoint", "default_family", "edge_boundary",
     "growth_exponent", "is_d_kappa", "iso_profile", "iso_ratio",
     "GradientBoundReport", "LineRule", "SearchResult", "SpanningLine",
     "augment_ball", "augment_with_line", "builtin_spanning_line",
     "check_line_rule", "check_spanning_line", "find_spanning_line",
     "verify_gradient_bound",
-    "ContrastReport", "WalkConfig", "WalkSeries", "chi_square_uniform",
-    "liouville_contrast", "simulate_walks", "tv_distance", "walk_series",
+    "WalkConfig", "WalkSeries", "tv_distance", "walk_series",
     "ExperimentReport", "dirichlet_json", "fmt_value",
 ]

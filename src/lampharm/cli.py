@@ -36,10 +36,9 @@ from .graphs import (
 from .isoperimetry import default_family, growth_exponent, iso_profile
 from .keys import IntPoint, format_key
 from .potential import (
+    DEFAULT_TOLERANCE,
     DirichletProblem,
     NonConvergenceError,
-    SPLIT_RULES,
-    harmonic_residual,
     oscillation_probe,
     annulus_capacity,
     p_energy,
@@ -49,7 +48,7 @@ from .potential import (
 )
 from .report import ExperimentReport, csv_text, dirichlet_json, fmt_value
 from .spanning import find_spanning_line
-from .walks import WalkConfig, liouville_contrast
+from .walks import WalkConfig, walk_series
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -61,7 +60,7 @@ GROWTH_SUITE = "product-growth"
 
 
 def _resolve_budget(args):
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("LAMPHARM_BUDGET")
     if env is not None:
@@ -156,10 +155,10 @@ def cmd_solve(args):
     if args.boundary_file is not None:
         bvals = _boundary_from_file(args.boundary_file)
     else:
-        bvals = split_values(g, args.split)
+        bvals = split_values(g)
     sol = solve_dirichlet(
         DirichletProblem(g, bvals, p=args.p, tolerance=args.tolerance))
-    residual = harmonic_residual(sol, g, args.p)
+    residual = sol.stats.residual
     energy = p_energy(sol, g, args.p)
     osc = window_oscillation(g, sol, args.radius // 2)
     print(f"vertices: {g.n}  boundary: {len(bvals)}")
@@ -175,7 +174,7 @@ def cmd_solve(args):
             "radius": args.radius,
             "p": args.p,
             "tolerance": args.tolerance,
-            "split": args.split if args.boundary_file is None else "file",
+            "split": "sign" if args.boundary_file is None else "file",
             "interpretation": (
                 "probe of conditions (3_p)/(4_p): inner oscillation of the "
                 "energy-minimizing extension of a two-valued boundary split"
@@ -269,24 +268,34 @@ def cmd_isoprofile(args):
     return EXIT_OK
 
 
+def _read_edge_list(path):
+    """The graph of a file of 'u v' lines (blank lines skipped); a
+    malformed line raises ValueError naming the file and line."""
+    edges = []
+    n = 0
+    with open(path) as fh:
+        for lineno, ln in enumerate(fh, start=1):
+            fields = ln.split()
+            if not fields:
+                continue
+            try:
+                u, v = map(int, fields)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: expected two vertex indices "
+                    f"'u v', got {ln.strip()!r}"
+                ) from None
+            edges.append((u, v))
+            n = max(n, u + 1, v + 1)
+    return FiniteGraph.from_edges(n, edges, boundary=[])
+
+
 def cmd_spanline(args):
-    budget = _resolve_budget(args)
     if args.edge_list is not None:
-        edges = []
-        n = 0
-        with open(args.edge_list) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln:
-                    continue
-                u, v = (int(x) for x in ln.split())
-                edges.append((u, v))
-                n = max(n, u + 1, v + 1)
-        g = FiniteGraph.from_edges(n, edges, boundary=[])
-        desc = {"edge_list": args.edge_list}
+        g = _read_edge_list(args.edge_list)
     else:
-        desc, G = _load_descriptor(args.descriptor)
-        g = ball(G, G.origin, args.radius, budget=budget)
+        _, G = _load_descriptor(args.descriptor)
+        g = ball(G, G.origin, args.radius, budget=_resolve_budget(args))
     res = find_spanning_line(
         g, args.k, time_budget=args.time_budget, seed=args.seed,
         exact=args.exact,
@@ -316,7 +325,9 @@ def cmd_liouville(args):
         laziness=args.laziness,
         seed=args.seed,
     )
-    rep = liouville_contrast(GA, GB, cfg, budget=budget)
+    T = args.steps
+    marks = sorted({max(1, T // 4), max(1, T // 2), T})
+    series = [walk_series(G, cfg, marks, budget=budget) for G in (GA, GB)]
     report = ExperimentReport(
         manifest={
             "command": "liouville",
@@ -333,8 +344,7 @@ def cmd_liouville(args):
             ),
         }
     )
-    for label, ser in (("graph_a", rep.liouville),
-                       ("graph_b", rep.nonliouville)):
+    for label, ser in zip(("graph_a", "graph_b"), series):
         print(f"{label} ({ser.graph}):")
         for t, tv, base in zip(ser.checkpoints, ser.tv, ser.baseline):
             print(f"  steps {t}: tv {fmt_value(tv)} baseline {fmt_value(base)}")
@@ -342,7 +352,7 @@ def cmd_liouville(args):
         report.add_series(
             f"{label}_baseline", list(zip(ser.checkpoints, ser.baseline))
         )
-    sa = rep.liouville
+    sa = series[0]
     decay = sa.tv[0] - sa.tv[-1]
     base_drift = sa.baseline[0] - sa.baseline[-1]
     report.add_verdict(
@@ -352,7 +362,7 @@ def cmd_liouville(args):
         "split-half baseline's margin (TV sinks toward the noise floor)",
         decay - base_drift,
     )
-    for label, ser in (("a", rep.liouville), ("b", rep.nonliouville)):
+    for label, ser in zip("ab", series):
         rows = [(t, tv, base, args.trials) for t, tv, base
                 in zip(ser.checkpoints, ser.tv, ser.baseline)]
         _write_out(args, f"liouville_{label}.csv",
@@ -533,14 +543,20 @@ def cmd_reproduce(args):
     return EXIT_OK if report.all_passed else EXIT_VERDICT
 
 
-def _add_common(sub, *, radius=False, p=False):
-    sub.add_argument("--seed", type=int, default=42)
+def _add_common(sub, *, seed=False, tolerance=False, report=True,
+                radius=False, p=False):
+    """Every command takes --budget and --out-dir; the other options
+    only where the command reads them."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--budget", type=int, default=None,
                      help="vertex budget (default LAMPHARM_BUDGET or "
                           f"{DEFAULT_VERTEX_BUDGET})")
-    sub.add_argument("--tolerance", type=float, default=1e-10)
+    if tolerance:
+        sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     sub.add_argument("--out-dir", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if report:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     if radius:
         sub.add_argument("--radius", "-R", type=int, required=True)
     if p:
@@ -565,23 +581,22 @@ def build_parser():
 
     s = sp.add_parser("solve", help="Dirichlet solve on a ball")
     s.add_argument("--descriptor", required=True)
-    s.add_argument("--split", choices=sorted(SPLIT_RULES), default="sign")
     s.add_argument("--boundary-file", default=None,
                    help="JSON {index: value} or [[index, value], ...]")
-    _add_common(s, radius=True, p=True)
+    _add_common(s, tolerance=True, radius=True, p=True)
     s.set_defaults(fn=cmd_solve)
 
     c = sp.add_parser("capacity", help="annulus capacity")
     c.add_argument("--descriptor", required=True)
     c.add_argument("--inner", "-r", type=int, required=True)
-    _add_common(c, radius=True, p=True)
+    _add_common(c, tolerance=True, radius=True, p=True)
     c.set_defaults(fn=cmd_capacity)
 
     i = sp.add_parser("isoprofile", help="isoperimetric witnesses + growth")
     i.add_argument("--descriptor", required=True)
     i.add_argument("--d-list", default="1,2,3")
     i.add_argument("--rmax", type=int, default=8)
-    _add_common(i)
+    _add_common(i, seed=True)
     i.set_defaults(fn=cmd_isoprofile)
 
     l = sp.add_parser("spanline", help="spanning-line search in the k-fuzz")
@@ -594,10 +609,7 @@ def build_parser():
     l.add_argument("--exact", action="store_true",
                    help="force exhaustive backtracking at any size")
     l.add_argument("--time-budget", type=float, default=10.0)
-    l.add_argument("--seed", type=int, default=42)
-    l.add_argument("--budget", type=int, default=None)
-    l.add_argument("--out-dir", default=None)
-    l.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_common(l, seed=True, report=False)
     l.set_defaults(fn=cmd_spanline)
 
     w = sp.add_parser("liouville", help="paired random-walk TV contrast")
@@ -606,12 +618,12 @@ def build_parser():
     w.add_argument("--steps", type=int, default=200)
     w.add_argument("--trials", type=int, default=100_000)
     w.add_argument("--laziness", type=float, default=0.5)
-    _add_common(w)
+    _add_common(w, seed=True)
     w.set_defaults(fn=cmd_liouville)
 
     r = sp.add_parser("reproduce", help="canned experiment suites")
     r.add_argument("suite", choices=SUITES)
-    _add_common(r)
+    _add_common(r, seed=True)
     r.set_defaults(fn=cmd_reproduce)
     return ap
 

@@ -87,17 +87,21 @@ def _bfs_grown_set(G, seed_key, target_size, rng):
     return list(seen)
 
 
-def default_family(G, Rmax, seed=0, n_random=12, budget=None):
-    """Balls B_1..B_Rmax around the origin plus random connected
-    BFS-grown sets seeded inside B_{Rmax/2} with log-spaced sizes."""
+RANDOM_WITNESSES = 12
+
+
+def default_family(G, Rmax, seed=0, budget=None):
+    """Balls B_1..B_Rmax around the origin plus RANDOM_WITNESSES random
+    connected BFS-grown sets seeded inside B_{Rmax/2} with log-spaced
+    sizes."""
     rng = random.Random(seed)
     g = ball(G, G.origin, Rmax, budget=budget)
     sizes = ball_sizes(g, Rmax)
     family = [g.verts[:sizes[R]] for R in range(1, Rmax + 1)]
     half = g.verts[:sizes[max(1, Rmax // 2)]]
     max_size = max(4, len(family[-1]) // 2)
-    for i in range(n_random):
-        t = i / max(1, n_random - 1)
+    for i in range(RANDOM_WITNESSES):
+        t = i / (RANDOM_WITNESSES - 1)
         size = max(2, int(round(4 * (max_size / 4) ** t)))
         seed_key = half[rng.randrange(len(half))]
         family.append(_bfs_grown_set(G, seed_key, size, rng))
@@ -114,9 +118,6 @@ class GrowthEstimate:
     superpolynomial: bool
     radii: list
     sizes: list
-
-    def __float__(self):
-        return self.exponent
 
 
 def _ols(x, y):

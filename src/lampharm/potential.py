@@ -501,12 +501,17 @@ def sign_projection(key):
     raise TypeError(f"no sign projection for {key!r}")
 
 
-def split_by_sign(key):
-    """Two-valued boundary labeling: 1 on nonnegative projection, else 0."""
-    return 1 if sign_projection(key) >= 0 else 0
-
-
-SPLIT_RULES = {"sign": split_by_sign}
+def split_values(g):
+    """The sign split as boundary data on g: 1 where sign_projection is
+    nonnegative, else 0. A ball that keeps its frame rows gives the
+    projection in their column 0 (see graphs.WalkFrame), so no key is
+    decoded."""
+    bidx = np.flatnonzero(g.boundary_mask)
+    if g.rows is not None:
+        side = g.rows[bidx, 0] >= 0
+    else:
+        side = [sign_projection(g.verts[i]) >= 0 for i in bidx]
+    return dict(zip(bidx.tolist(), np.asarray(side, dtype=float).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +519,7 @@ SPLIT_RULES = {"sign": split_by_sign}
 
 
 def annulus_capacity(G, center, r, R, p, tolerance=DEFAULT_TOLERANCE,
-                     max_iters=DEFAULT_MAX_ITERS, budget=None):
+                     budget=None):
     """p-energy of the Dirichlet solution on B_R that is 1 on B_r and 0 on
     the boundary of B_R. Non-increasing in R, non-decreasing in r."""
     if not 0 < r < R:
@@ -525,22 +530,8 @@ def annulus_capacity(G, center, r, R, p, tolerance=DEFAULT_TOLERANCE,
     g2 = replace(g, boundary_mask=mask)
     idx = np.flatnonzero(mask)
     bvals = dict(zip(idx.tolist(), inner[idx].astype(float).tolist()))
-    sol = solve_dirichlet(DirichletProblem(
-        g2, bvals, p=p, tolerance=tolerance, max_iters=max_iters))
+    sol = solve_dirichlet(DirichletProblem(g2, bvals, p=p, tolerance=tolerance))
     return p_energy(sol, g2, p)
-
-
-def split_values(g, split="sign"):
-    """Boundary data on g from a split: a rule name from SPLIT_RULES or a
-    callable key -> {0, 1}. The sign rule on a ball that keeps its frame
-    rows reads the projection off their column 0 (see graphs.WalkFrame)
-    and decodes no key."""
-    bidx = np.flatnonzero(g.boundary_mask)
-    if split == "sign" and g.rows is not None:
-        side = (g.rows[bidx, 0] >= 0).astype(float)
-        return dict(zip(bidx.tolist(), side.tolist()))
-    rule = SPLIT_RULES[split] if isinstance(split, str) else split
-    return {int(i): float(rule(g.verts[i])) for i in bidx}
 
 
 def window_oscillation(g, f, r):
@@ -550,22 +541,19 @@ def window_oscillation(g, f, r):
     return float(inner.max() - inner.min())
 
 
-def oscillation_probe(G, center, R, p, split="sign",
-                      tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS,
-                      budget=None, inner_radius: Optional[int] = None):
-    """Harmonic extension of a two-valued boundary split on B_R.
+def oscillation_probe(G, center, R, p, budget=None,
+                      inner_radius: Optional[int] = None):
+    """Harmonic extension of the sign split (split_values) on B_R.
 
     Returns (oscillation of the solution over the inner ball, p-energy of
     the solution). The inner ball is B_{R // 2} by default; passing a fixed
     inner_radius across a family of growing R probes how the solution
     homogenizes on a fixed window as the boundary recedes, which is the
     quantity that decays when finite-energy harmonic functions are
-    constant. The split is as in split_values.
+    constant.
     """
     g = ball(G, center, R, budget=budget)
-    sol = solve_dirichlet(DirichletProblem(
-        g, split_values(g, split), p=p, tolerance=tolerance,
-        max_iters=max_iters))
+    sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p))
     rin = R // 2 if inner_radius is None else inner_radius
     if not 0 <= rin <= R:
         raise ValueError(f"inner radius {rin} outside [0, {R}]")

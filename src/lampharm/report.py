@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
+
 FLOAT_FMT = "%.17g"
 
 

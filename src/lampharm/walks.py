@@ -18,10 +18,10 @@ walkers and per step, one rng.random(batch) for laziness unless
 laziness is 0, then one rng.random(movers) whose value u picks step_fn
 neighbor int(u * regular_degree), or on the irregular caterpillar
 neighbors(v)[int(u * deg v)]), so every walker follows the same
-trajectory on either engine. simulate_walks, every other oracle, and
-walks whose array rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp
-far from the starts, say) or whose coordinates could leave int64 run the
-object engine (see graphs.array_frame).
+trajectory on either engine. Every other oracle, and walks whose array
+rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp far from the
+starts, say) or whose coordinates could leave int64, run the object
+engine (see graphs.array_frame).
 """
 
 from __future__ import annotations
@@ -156,24 +156,6 @@ def _run_walk(frame, start, cfg, marks, rng, split=False):
     return hists, halves
 
 
-def simulate_walks(G, cfg, budget=None):
-    """Histograms over vertex keys of walk endpoints at time cfg.steps,
-    one per start; deterministic given cfg.seed.
-
-    The budget caps trials (each trial holds at least one materialized
-    key and one histogram entry).
-    """
-    cap = DEFAULT_VERTEX_BUDGET if budget is None else budget
-    if cfg.trials > cap:
-        raise BudgetExceededError(cfg.trials, cap)
-    a, b = _resolve_starts(G, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    frame = _KeyFrame(G)
-    ha, _ = _run_walk(frame, a, cfg, [cfg.steps], rng)
-    hb, _ = _run_walk(frame, b, cfg, [cfg.steps], rng)
-    return ha[cfg.steps], hb[cfg.steps]
-
-
 def tv_distance(hist_a, hist_b):
     """Total variation between two empirical distributions given as
     integer count mappings over a common key space: half the L1 gap of
@@ -243,39 +225,3 @@ def walk_series(G, cfg, checkpoints=None, budget=None):
         lo, hi = halves_a[t]
         base.append(tv_distance(lo, hi) if lo and hi else 0.0)
     return WalkSeries(G.name, marks, tv, base)
-
-
-@dataclass
-class ContrastReport:
-    """Paired TV series: decay toward the baseline on the graph expected
-    to have only constant bounded harmonic functions, a strictly
-    positive plateau on the contrast graph."""
-
-    liouville: WalkSeries
-    nonliouville: WalkSeries
-
-
-def liouville_contrast(G_liouville, G_nonliouville, cfg, checkpoints=None,
-                       budget=None):
-    """Run the same paired-walk experiment on both graphs.
-
-    Starts default to (origin, first neighbor of origin) in each graph,
-    satisfying the adjacent-starts precondition even when the two graphs
-    have different key types.
-    """
-    if checkpoints is None:
-        qs = {max(1, cfg.steps // 4), max(1, cfg.steps // 2), cfg.steps}
-        checkpoints = sorted(qs)
-    s1 = walk_series(G_liouville, cfg, checkpoints, budget=budget)
-    s2 = walk_series(G_nonliouville, cfg, checkpoints, budget=budget)
-    return ContrastReport(s1, s2)
-
-
-def chi_square_uniform(counts):
-    """Chi-square statistic of observed counts against the uniform law
-    over the same bins."""
-    counts = np.asarray(list(counts), dtype=float)
-    if counts.sum() <= 0 or len(counts) < 2:
-        raise ValueError("need at least two bins with observations")
-    expect = counts.sum() / len(counts)
-    return float(np.sum((counts - expect) ** 2 / expect))

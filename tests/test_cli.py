@@ -70,6 +70,19 @@ def test_solve_writes_report(tmp_path, capsys):
     assert "solution_summary" in rep["series"]
 
 
+def test_solve_manifest_records_the_split(tmp_path, capsys):
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps({"5": 0.0, "6": 1.0}))
+    for extra, split in (([], "sign"), (["--boundary-file", str(bfile)],
+                                         "file")):
+        out = tmp_path / split
+        code = main(["solve", "--descriptor", '{"family": "line"}',
+                     "--radius", "3", "--out-dir", str(out)] + extra)
+        assert code == 0
+        rep = json.loads((out / "solve.json").read_text())
+        assert rep["manifest"]["split"] == split
+
+
 def test_solve_reports_the_p_laplacian_residual(tmp_path, capsys):
     # at p != 2 the reported residual is the p-Laplacian one that the
     # solver stops on, not the p=2 mean-value residual
@@ -244,6 +257,37 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, text):
         return
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0 1\n\n0 1 2\n", 3),
+    ("0 x\n", 1),
+])
+def test_malformed_edge_list_line_is_located(tmp_path, capsys, text, lineno):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    assert main(["spanline", "--edge-list", str(path)]) == 2
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert f"{path} line {lineno}:" in detail
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--descriptor", LINE, "-R", "2", "--seed", "1"],
+    ["build-graph", "--descriptor", LINE, "-R", "2", "--tolerance", "1e-9"],
+    ["solve", "--descriptor", LINE, "-R", "2", "--seed", "1"],
+    ["solve", "--descriptor", LINE, "-R", "2", "--split", "sign"],
+    ["capacity", "--descriptor", LINE, "-r", "1", "-R", "3", "--seed", "1"],
+    ["isoprofile", "--descriptor", LINE, "--tolerance", "1e-9"],
+    ["liouville", "--descriptor-a", LINE, "--descriptor-b", LINE,
+     "--tolerance", "1e-9"],
+    ["reproduce", "product-growth", "--tolerance", "1e-9"],
+    ["spanline", "--descriptor", LINE, "--format", "json"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_options_no_command_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -31,9 +31,14 @@ from lampharm.potential import (
     residual_floor,
     sign_projection,
     solve_dirichlet,
-    split_by_sign,
     split_values,
 )
+
+
+def _sign_split(g):
+    # the sign split from the keys, independent of split_values
+    return {int(i): float(sign_projection(g.verts[i]) >= 0)
+            for i in np.where(g.boundary_mask)[0]}
 
 
 def _path(n):
@@ -113,10 +118,7 @@ def test_cg_matches_dense_solve():
 
 def test_solution_is_harmonic():
     g = ball(grid_graph(2), IntPoint((0, 0)), 5)
-    bvals = {
-        int(i): float(split_by_sign(g.verts[i]))
-        for i in np.where(g.boundary_mask)[0]
-    }
+    bvals = _sign_split(g)
     sol = solve_dirichlet(DirichletProblem(g, bvals))
     assert harmonic_residual(sol, g) <= 1e-10
 
@@ -138,10 +140,7 @@ def test_maximum_principle_random_instances():
 def test_p_monotone_energy_comparison():
     # the p-minimizer must not beat the q-minimizer in q-energy
     g = ball(grid_graph(2), IntPoint((0, 0)), 4)
-    bvals = {
-        int(i): float(split_by_sign(g.verts[i]))
-        for i in np.where(g.boundary_mask)[0]
-    }
+    bvals = _sign_split(g)
     for p, q in ((1.5, 2.0), (3.0, 2.0)):
         sp = solve_dirichlet(DirichletProblem(g, bvals, p=p, tolerance=0.0))
         sq = solve_dirichlet(DirichletProblem(g, bvals, p=q, tolerance=0.0))
@@ -247,25 +246,25 @@ def test_oscillation_probe_line():
     assert en == pytest.approx(0.05, abs=1e-9)
 
 
-def test_oscillation_probe_callable_split():
-    g_osc, _ = oscillation_probe(
-        line_graph(), IntPoint((0,)), 8, 2.0,
-        split=lambda k: 1 if k.coords[0] >= 0 else 0,
-    )
-    s_osc, _ = oscillation_probe(line_graph(), IntPoint((0,)), 8, 2.0)
-    assert g_osc == pytest.approx(s_osc)
-
-
 def test_sign_projection_variants():
     assert sign_projection(IntPoint((-2, 5))) == -2.0
     assert sign_projection(WordKey((1, -2))) == 1.0
     assert sign_projection(WordKey((-1, 2))) == -1.0
     assert sign_projection(WordKey(())) == 0.0
-    assert split_by_sign(WordKey(())) == 1
     L = path_graph(2)
     G = lamplighter(L, line_graph(), IntPoint((0,)))
     for k in G.neighbors(G.origin):
-        assert split_by_sign(k) in (0, 1)
+        assert sign_projection(k) in (-1.0, 0.0, 1.0)
+
+
+def test_split_values_is_the_sign_split_of_the_keys():
+    G = dataclasses.replace(direct_product(line_graph(), line_graph()),
+                            walk_encoding=None)
+    g = ball(G, G.origin, 3)
+    assert g.rows is None
+    split = split_values(g)
+    assert split == _sign_split(g)
+    assert set(split.values()) == {0.0, 1.0}
 
 
 def test_free_group_oscillation_does_not_vanish():
@@ -323,8 +322,7 @@ def test_star_center_is_the_scalar_root(p, seed):
 def _lamp_sign_split(R):
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
     g = ball(G, G.origin, R)
-    return g, {int(i): float(split_by_sign(g.verts[i]))
-               for i in np.where(g.boundary_mask)[0]}
+    return g, _sign_split(g)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

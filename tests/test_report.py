@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 
+import lampharm
 from lampharm.report import (
     ExperimentReport,
     dirichlet_json,
@@ -23,7 +24,7 @@ def _sample_report():
 
 def test_manifest_records_tool_version():
     rep = _sample_report()
-    assert rep.manifest["tool_version"] == "0.1.0"
+    assert rep.manifest["tool_version"] == lampharm.__version__
     assert rep.manifest["seed"] == 42
 
 

@@ -22,15 +22,9 @@ from lampharm.graphs import (
     line_graph,
     path_graph,
 )
+from lampharm import walks
 from lampharm.keys import IntPoint, LampKey, PairKey, VertexKey, WordKey
-from lampharm.walks import (
-    BATCH_TRIALS,
-    WalkConfig,
-    chi_square_uniform,
-    simulate_walks,
-    tv_distance,
-    walk_series,
-)
+from lampharm.walks import BATCH_TRIALS, WalkConfig, tv_distance, walk_series
 
 CHI2_1DF_1PCT = 6.635
 CHI2_7DF_1PCT = 18.475
@@ -40,10 +34,29 @@ def _lamp_graph():
     return lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
 
 
+def _key_walks(G, cfg):
+    """Endpoint histograms over vertex keys at cfg.steps, one per start,
+    from the key engine."""
+    a, b = walks._resolve_starts(G, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    frame = walks._KeyFrame(G)
+    ha, _ = walks._run_walk(frame, a, cfg, [cfg.steps], rng)
+    hb, _ = walks._run_walk(frame, b, cfg, [cfg.steps], rng)
+    return ha[cfg.steps], hb[cfg.steps]
+
+
+def _chi_square_uniform(counts):
+    """Chi-square statistic of counts against the uniform law on their
+    bins."""
+    counts = np.asarray(list(counts), dtype=float)
+    expect = counts.sum() / len(counts)
+    return float(np.sum((counts - expect) ** 2 / expect))
+
+
 def test_zero_steps_gives_point_masses_at_starts():
     G = line_graph()
     cfg = WalkConfig(steps=0, trials=50, seed=3)
-    ha, hb = simulate_walks(G, cfg)
+    ha, hb = _key_walks(G, cfg)
     assert ha == {IntPoint((0,)): 50}
     assert hb == {G.neighbors(G.origin)[0]: 50}
 
@@ -59,16 +72,16 @@ def test_zero_steps_from_distinct_starts_gives_tv_one():
 def test_one_step_no_laziness_is_uniform_on_both_sides():
     G = line_graph()
     cfg = WalkConfig(steps=1, trials=10_000, laziness=0.0, seed=11)
-    ha, _ = simulate_walks(G, cfg)
+    ha, _ = _key_walks(G, cfg)
     assert set(ha) == {IntPoint((-1,)), IntPoint((1,))}
-    stat = chi_square_uniform(ha.values())
+    stat = _chi_square_uniform(ha.values())
     assert stat < CHI2_1DF_1PCT
 
 
 def test_endpoints_stay_within_distance_steps():
     G = _lamp_graph()
     cfg = WalkConfig(steps=5, trials=200, laziness=0.3, seed=5)
-    ha, hb = simulate_walks(G, cfg)
+    ha, hb = _key_walks(G, cfg)
     reach = set(ball(G, G.origin, 6).verts)
     for k in list(ha) + list(hb):
         assert k in reach
@@ -77,7 +90,7 @@ def test_endpoints_stay_within_distance_steps():
 def test_histogram_counts_sum_to_trials_and_keys_are_vertex_keys():
     G = _lamp_graph()
     cfg = WalkConfig(steps=7, trials=321, seed=9)
-    ha, hb = simulate_walks(G, cfg)
+    ha, hb = _key_walks(G, cfg)
     assert sum(ha.values()) == 321
     assert sum(hb.values()) == 321
     assert all(isinstance(k, VertexKey) for k in ha)
@@ -86,15 +99,15 @@ def test_histogram_counts_sum_to_trials_and_keys_are_vertex_keys():
 def test_same_seed_reproduces_histograms_exactly():
     G = _lamp_graph()
     cfg = WalkConfig(steps=8, trials=500, seed=7)
-    first = simulate_walks(G, cfg)
-    second = simulate_walks(G, cfg)
+    first = _key_walks(G, cfg)
+    second = _key_walks(G, cfg)
     assert first == second
 
 
 def test_different_seeds_differ():
     G = line_graph()
-    a = simulate_walks(G, WalkConfig(steps=20, trials=400, seed=1))
-    b = simulate_walks(G, WalkConfig(steps=20, trials=400, seed=2))
+    a = _key_walks(G, WalkConfig(steps=20, trials=400, seed=1))
+    b = _key_walks(G, WalkConfig(steps=20, trials=400, seed=2))
     assert a != b
 
 
@@ -193,9 +206,9 @@ def test_line_tv_matches_exact_convolution_oracle():
 def test_cycle_histogram_becomes_uniform():
     G = cycle_graph(8)
     cfg = WalkConfig(steps=80, trials=20_000, laziness=0.5, seed=13)
-    ha, _ = simulate_walks(G, cfg)
+    ha, _ = _key_walks(G, cfg)
     assert len(ha) == 8
-    stat = chi_square_uniform(ha.values())
+    stat = _chi_square_uniform(ha.values())
     assert stat < CHI2_7DF_1PCT
 
 
@@ -213,8 +226,6 @@ def test_config_validation():
 def test_trials_beyond_budget_rejected():
     G = line_graph()
     cfg = WalkConfig(steps=2, trials=1000, seed=0)
-    with pytest.raises(BudgetExceededError):
-        simulate_walks(G, cfg, budget=999)
     with pytest.raises(BudgetExceededError):
         walk_series(G, cfg, budget=999)
 
@@ -248,7 +259,7 @@ def test_engine_without_fast_step_path_agrees_on_support():
     assert slow.step_fn is None
     cfg = WalkConfig(steps=2, trials=300, laziness=0.0, seed=17,
                      start_a=IntPoint((0,)), start_b=IntPoint((0,)))
-    ha, _ = simulate_walks(slow, cfg)
+    ha, _ = _key_walks(slow, cfg)
     assert set(ha) <= {IntPoint((-2,)), IntPoint((0,)), IntPoint((2,))}
     assert sum(ha.values()) == 300
 
@@ -265,17 +276,9 @@ def test_free_group_walk_escapes():
     """Positive-speed walk: endpoints concentrate far from the origin."""
     F = free_group_graph(2)
     cfg = WalkConfig(steps=40, trials=400, laziness=0.5, seed=23)
-    ha, _ = simulate_walks(F, cfg)
+    ha, _ = _key_walks(F, cfg)
     lengths = [len(k.letters) for k, c in ha.items() for _ in range(c)]
     assert np.mean(lengths) > 5.0
-
-
-def test_chi_square_uniform_validation():
-    with pytest.raises(ValueError):
-        chi_square_uniform([5])
-    with pytest.raises(ValueError):
-        chi_square_uniform([0, 0])
-    assert chi_square_uniform([10, 10, 10]) == 0.0
 
 
 def _lamp(site):
