@@ -292,10 +292,17 @@ def _read_edge_list(path):
 
 def cmd_spanline(args):
     if args.edge_list is not None:
+        # the ball options size a --descriptor ball; an edge list is the
+        # whole graph
+        for flag, value in (("--radius", args.radius),
+                            ("--budget", args.budget)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --descriptor")
         g = _read_edge_list(args.edge_list)
     else:
         _, G = _load_descriptor(args.descriptor)
-        g = ball(G, G.origin, args.radius, budget=_resolve_budget(args))
+        R = 3 if args.radius is None else args.radius
+        g = ball(G, G.origin, R, budget=_resolve_budget(args))
     res = find_spanning_line(
         g, args.k, time_budget=args.time_budget, seed=args.seed,
         exact=args.exact,
@@ -316,6 +323,9 @@ def cmd_spanline(args):
 
 
 def cmd_liouville(args):
+    # the TV verdict compares the first and last of distinct checkpoints
+    if args.steps < 2:
+        raise ValueError(f"--steps must be >= 2, got {args.steps}")
     desc_a, GA = _load_descriptor(args.descriptor_a)
     desc_b, GB = _load_descriptor(args.descriptor_b)
     budget = _resolve_budget(args)
@@ -604,7 +614,8 @@ def build_parser():
     source.add_argument("--descriptor")
     source.add_argument("--edge-list",
                         help="file of 'u v' lines (vertex indices)")
-    l.add_argument("--radius", "-R", type=int, default=3)
+    l.add_argument("--radius", "-R", type=int, default=None,
+                   help="ball radius with --descriptor (default 3)")
     l.add_argument("-k", type=int, default=1)
     l.add_argument("--exact", action="store_true",
                    help="force exhaustive backtracking at any size")

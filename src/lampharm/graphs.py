@@ -53,12 +53,12 @@ class GraphOracle:
     neighbors(v) returns a sorted, duplicate-free, finite list of keys;
     the relation is symmetric and has no self-loops.
 
-    Regular families may additionally provide a single-neighbor fast
-    path: `regular_degree` asserts every vertex has exactly that degree,
-    and `step_fn(v, i)` for i in range(regular_degree) enumerates the
-    neighbors of v in some fixed family-specific order (not necessarily
-    sorted). Long random walks use it to avoid materializing full
-    neighbor lists; as a set, step_fn(v, .) must agree with neighbors(v).
+    A family has a single-neighbor fast path `step_fn` exactly when it
+    is regular, and its degree is then `degree_bound`: `step_fn(v, i)`
+    for i in range(degree_bound) enumerates the neighbors of v in some
+    fixed family-specific order (not necessarily sorted). Long random
+    walks use it to avoid materializing full neighbor lists; as a set,
+    step_fn(v, .) must agree with neighbors(v).
 
     `walk_encoding` is set only by the family constructors that have an
     array form of their vertices (the lamplighter of path(2) over the
@@ -68,7 +68,7 @@ class GraphOracle:
     vertex within `steps` moves of the starts as one numpy row. Walks
     use `spawn(start, n)` (the state of n walkers at `start`),
     `move(state, who, u)` (walker who[j] at v goes to its step_fn
-    neighbor number int(u[j] * regular_degree), or on an irregular
+    neighbor number int(u[j] * degree_bound), or on an irregular
     family to neighbors(v)[int(u[j] * deg v)]) and `labels(state)` (one
     bytes label per walker, equal iff two walkers stand on the same
     vertex); `ball` uses `ball_rows`, `expand` and `decode` (see
@@ -79,7 +79,6 @@ class GraphOracle:
     origin: VertexKey
     degree_bound: Optional[int] = None
     name: str = "graph"
-    regular_degree: Optional[int] = None
     step_fn: Optional[Callable[[VertexKey, int], VertexKey]] = None
     walk_encoding: Optional[Callable[[tuple, int], "WalkFrame"]] = None
 
@@ -99,7 +98,7 @@ def line_graph():
 
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name="line",
-        regular_degree=2, step_fn=_line_step,
+        step_fn=_line_step,
         walk_encoding=lambda starts, steps: _IntFrame(1, starts, steps),
     )
 
@@ -131,7 +130,7 @@ def cycle_graph(n):
 
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name=f"cycle({n})",
-        regular_degree=2, step_fn=step,
+        step_fn=step,
     )
 
 
@@ -155,9 +154,9 @@ def path_graph(n):
 
     # path(2) is the one regular path: each endpoint's sole neighbor is
     # the other
-    regular = dict(regular_degree=1, step_fn=_flip_step) if n == 2 else {}
     return GraphOracle(nbrs, IntPoint((0,)), degree_bound=min(n - 1, 2),
-                       name=f"path({n})", **regular)
+                       name=f"path({n})",
+                       step_fn=_flip_step if n == 2 else None)
 
 
 def grid_graph(d):
@@ -178,7 +177,7 @@ def grid_graph(d):
 
     return GraphOracle(
         nbrs, IntPoint((0,) * d), degree_bound=2 * d, name=f"grid({d})",
-        regular_degree=2 * d, step_fn=_grid_step,
+        step_fn=_grid_step,
         walk_encoding=lambda starts, steps: _IntFrame(d, starts, steps),
     )
 
@@ -236,7 +235,7 @@ def free_group_graph(rank):
 
     return GraphOracle(
         nbrs, WordKey(()), degree_bound=2 * rank, name=f"free({rank})",
-        regular_degree=2 * rank, step_fn=step,
+        step_fn=step,
         walk_encoding=lambda starts, steps: _WordFrame(letters, starts, steps),
     )
 
@@ -278,14 +277,10 @@ def lamplighter(L, H, root_o):
     if L.degree_bound is not None and H.degree_bound is not None:
         bound = L.degree_bound + H.degree_bound
 
-    rdeg = None
     step = None
     encoding = None
-    if L.regular_degree is not None and H.regular_degree is not None:
-        hr, lr = H.regular_degree, L.regular_degree
-        h_step = H.step_fn or (lambda x, i: H.neighbors(x)[i])
-        l_step = L.step_fn or (lambda l, i: L.neighbors(l)[i])
-        rdeg = hr + lr
+    if L.step_fn is not None and H.step_fn is not None:
+        hr, h_step, l_step = H.degree_bound, H.step_fn, L.step_fn
 
         def step(v, i):
             if i < hr:
@@ -304,7 +299,6 @@ def lamplighter(L, H, root_o):
         LampKey(H.origin, ()),
         degree_bound=bound,
         name=f"lamplighter({L.name},{H.name})",
-        regular_degree=rdeg,
         step_fn=step,
         walk_encoding=encoding,
     )
@@ -325,17 +319,9 @@ def direct_product(H1, H2):
     if H1.degree_bound is not None and H2.degree_bound is not None:
         bound = H1.degree_bound + H2.degree_bound
 
-    rdeg = None
     step = None
-    if (
-        H1.regular_degree is not None
-        and H2.regular_degree is not None
-        and H1.step_fn is not None
-        and H2.step_fn is not None
-    ):
-        r1 = H1.regular_degree
-        s1, s2 = H1.step_fn, H2.step_fn
-        rdeg = r1 + H2.regular_degree
+    if H1.step_fn is not None and H2.step_fn is not None:
+        r1, s1, s2 = H1.degree_bound, H1.step_fn, H2.step_fn
 
         def step(v, i):
             if i < r1:
@@ -343,14 +329,13 @@ def direct_product(H1, H2):
             return PairKey(v.left, s2(v.right, i - r1))
 
     # a factor that steps as the line or grid(d) does is d-dimensional
-    d1, d2 = (H.regular_degree // 2 if H.step_fn in (_line_step, _grid_step)
+    d1, d2 = (H.degree_bound // 2 if H.step_fn in (_line_step, _grid_step)
               else 0 for H in (H1, H2))
     return GraphOracle(
         nbrs,
         PairKey(H1.origin, H2.origin),
         degree_bound=bound,
         name=f"product({H1.name},{H2.name})",
-        regular_degree=rdeg,
         step_fn=step,
         walk_encoding=(lambda starts, steps: _PairFrame(d1, d2, starts, steps))
         if d1 and d2 else None,

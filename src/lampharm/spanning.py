@@ -41,36 +41,20 @@ class SpanningLine:
 
 @dataclass
 class LineRule:
-    """Two-way enumeration rule for an infinite (or cyclic) family.
-
-    enumerate_fn maps a position to a vertex key; position_fn inverts it.
-    Cyclic rules wrap positions modulo period.
-    """
+    """Two-way enumeration rule for an infinite family: enumerate_fn maps
+    every integer position to a vertex key; position_fn inverts it."""
 
     name: str
     k: int
     enumerate_fn: Callable[[int], object]
     position_fn: Callable[[object], int]
-    cyclic: bool = False
-    period: Optional[int] = None
-
-    def at(self, i):
-        if self.cyclic:
-            i %= self.period
-        return self.enumerate_fn(i)
 
     def line_neighbors(self, key):
-        """The one or two rule-adjacent vertices of `key`."""
+        """The two rule-adjacent vertices of `key`."""
         i = self.position_fn(key)
-        if self.at(i) != key:
+        if self.enumerate_fn(i) != key:
             raise ValueError(f"rule {self.name} does not cover {key!r}")
-        out = []
-        for j in (i - 1, i + 1):
-            try:
-                out.append(self.at(j))
-            except (ValueError, KeyError, IndexError):
-                continue
-        return [w for w in out if w != key]
+        return [self.enumerate_fn(i - 1), self.enumerate_fn(i + 1)]
 
 
 def check_spanning_line(g, line):
@@ -86,31 +70,20 @@ def check_spanning_line(g, line):
 def check_line_rule(G, rule, lo, hi):
     """Verify a rule window against the oracle: positions lo..hi enumerate
     distinct vertices, position_fn inverts enumerate_fn, and consecutive
-    vertices are within oracle distance k. Cyclic rules also check the
-    wrap-around pair when the window covers a full period."""
-    keys = []
-    for i in range(lo, hi + 1):
-        v = rule.at(i)
-        pos = rule.position_fn(v)
-        expect = i % rule.period if rule.cyclic else i
-        if pos != expect:
-            return False
-        keys.append(v)
-    if len(set(keys)) != len(keys) and not (
-        rule.cyclic and hi - lo + 1 > rule.period
-    ):
+    vertices are within oracle distance k."""
+    keys = [rule.enumerate_fn(i) for i in range(lo, hi + 1)]
+    if [rule.position_fn(v) for v in keys] != list(range(lo, hi + 1)):
         return False
-    pairs = list(zip(keys, keys[1:]))
-    if rule.cyclic and hi - lo + 1 >= rule.period:
-        pairs.append((rule.at(hi), rule.at(hi + 1)))
-    return all(v in vertices_within(G, u, rule.k) for u, v in pairs)
+    if len(set(keys)) != len(keys):
+        return False
+    return all(v in vertices_within(G, u, rule.k)
+               for u, v in zip(keys, keys[1:]))
 
 
-def builtin_spanning_line(family, n=None):
-    """Closed-form rules for the shipped families.
+def builtin_spanning_line(family):
+    """Closed-form rules for the shipped two-ended families.
 
-    line: identity order, k=1. cycle/path (need n): cyclic or clamped
-    identity order, k=1. caterpillar: spine and leaf interleaved,
+    line: identity order, k=1. caterpillar: spine and leaf interleaved,
     spine_0, leaf_0, spine_1, leaf_1, ..., k=3.
     """
     if family == "line":
@@ -120,37 +93,13 @@ def builtin_spanning_line(family, n=None):
             lambda i: IntPoint((i,)),
             lambda key: key.coords[0],
         )
-    if family == "cycle":
-        if n is None or n < 3:
-            raise ValueError("cycle family needs n >= 3")
-        return LineRule(
-            "cycle",
-            1,
-            lambda i: IntPoint((i % n,)),
-            lambda key: key.coords[0],
-            cyclic=True,
-            period=n,
-        )
-    if family == "path":
-        if n is None or n < 1:
-            raise ValueError("path family needs n >= 1")
-
-        def enum(i):
-            if not 0 <= i < n:
-                raise ValueError(f"position {i} outside path of {n} vertices")
-            return IntPoint((i,))
-
-        return LineRule("path", 1, enum, lambda key: key.coords[0])
     if family == "caterpillar":
-
-        def enum(i):
-            q, r = divmod(i, 2)
-            return IntPoint((q, r))
-
-        def pos(key):
-            return 2 * key.coords[0] + key.coords[1]
-
-        return LineRule("caterpillar", 3, enum, pos)
+        return LineRule(
+            "caterpillar",
+            3,
+            lambda i: IntPoint(divmod(i, 2)),
+            lambda key: 2 * key.coords[0] + key.coords[1],
+        )
     raise ValueError(f"unknown spanning-line family {family!r}")
 
 
@@ -270,9 +219,7 @@ def augment_with_line(H, rule):
         raise TypeError("augment_with_line needs a LineRule")
 
     def neighbors(v):
-        base = H.neighbors(v)
-        extra = [w for w in rule.line_neighbors(v) if w not in set(base)]
-        return sorted(set(base) | set(extra))
+        return sorted(set(H.neighbors(v)).union(rule.line_neighbors(v)))
 
     bound = H.degree_bound + 2 if H.degree_bound is not None else None
     return GraphOracle(
@@ -294,26 +241,20 @@ def augment_ball(H, H_aug, center, R, k, budget=None):
     region."""
     g = ball(H, center, R, budget=budget)
     index = {v: i for i, v in enumerate(g.verts)}
-    flat, ptr = g.indices.tolist(), g.indptr.tolist()
-    indptr = [0]
-    indices = []
+    edges = g.edges().tolist()
+    adj = g.adj
     for i, v in enumerate(g.verts):
-        row = flat[ptr[i]:ptr[i + 1]]
         near = None
-        extra = []
-        for w in H_aug.neighbors(v):
-            j = index.get(w)
-            if j is None or j == i or j in row:
+        for j in map(index.get, H_aug.neighbors(v)):
+            # each pair once, from its lower end; g's own edges need no BFS
+            if j is None or j <= i or j in adj[i]:
                 continue
             if near is None:
                 near = graph_distances(g, i, cutoff=k)
             if near[j] >= 0:
-                extra.append(j)
-        indices += sorted(row + extra)
-        indptr.append(len(indices))
-    g_aug = FiniteGraph(g.verts, np.array(indptr, dtype=np.int64),
-                        np.array(indices, dtype=np.int64),
-                        g.boundary_mask.copy())
+                edges.append((i, j))
+    g_aug = FiniteGraph.from_edges(g.n, edges, np.flatnonzero(g.boundary_mask),
+                                   g.verts)
     return g, g_aug
 
 

@@ -12,11 +12,12 @@ sums the exact gap in int64.
 
 walk_series takes the array engine on oracles that carry a
 `walk_encoding`: the lamplighter of path(2) over the line, the free
-groups, the line, the grids and the caterpillar. It draws from the
-generator exactly as the object engine does (per batch of BATCH_TRIALS
-walkers and per step, one rng.random(batch) for laziness unless
-laziness is 0, then one rng.random(movers) whose value u picks step_fn
-neighbor int(u * regular_degree), or on the irregular caterpillar
+groups, the line, the grids, the caterpillar and the direct product of
+two lattices. It draws from the generator exactly as the object engine
+does (per batch of BATCH_TRIALS walkers and per step, one
+rng.random(batch) for laziness unless laziness is 0, then one
+rng.random(movers) whose value u picks step_fn neighbor
+int(u * degree_bound), or on the irregular caterpillar
 neighbors(v)[int(u * deg v)]), so every walker follows the same
 trajectory on either engine. Every other oracle, and walks whose array
 rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp far from the
@@ -34,7 +35,6 @@ from itertools import repeat
 import numpy as np
 
 from .graphs import (
-    ARRAY_ROW_BYTES_CAP,  # noqa: F401  (read as walks.ARRAY_ROW_BYTES_CAP)
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     array_frame,
@@ -92,8 +92,8 @@ class _KeyFrame:
     step_fn call, or on oracles without one, a pick from neighbors."""
 
     def __init__(self, G):
-        self.degree = G.regular_degree
-        self.step = G.step_fn if self.degree is not None else None
+        self.degree = G.degree_bound
+        self.step = G.step_fn
         self.neighbors = G.neighbors
         # neighbors path only: revisit-heavy walks (recurrent base graphs)
         # hit this cache hard; transient walks mostly miss far out,

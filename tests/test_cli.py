@@ -241,6 +241,14 @@ LINE = '{"family": "line"}'
                   LINE, "--trials", "0"], None, id="zero-trials"),
     pytest.param(["solve", "--descriptor", LINE, "-R", "3", "--p", "1"],
                  None, id="solve-p-1"),
+    pytest.param(["liouville", "--descriptor-a", LINE, "--descriptor-b",
+                  LINE, "--steps", "0"], None, id="liouville-steps-0"),
+    pytest.param(["liouville", "--descriptor-a", LINE, "--descriptor-b",
+                  LINE, "--steps", "1"], None, id="liouville-steps-1"),
+    pytest.param(["spanline", "--edge-list", "{file}", "-R", "5"], "0 1\n",
+                 id="edge-list-with-radius"),
+    pytest.param(["spanline", "--edge-list", "{file}", "--budget", "10"],
+                 "0 1\n", id="edge-list-with-budget"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, text):
     # exit 1 means a verdict failed or absence was proved, so bad input

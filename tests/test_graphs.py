@@ -350,13 +350,13 @@ def test_regular_step_function_enumerates_exactly_the_neighbors():
         direct_product(line_graph(), grid_graph(2)),
     ]
     for G in fams:
-        assert G.regular_degree is not None
+        assert G.degree_bound is not None
         assert G.step_fn is not None
         v = G.origin
         for _ in range(120):
             nbrs = G.neighbors(v)
-            assert len(nbrs) == G.regular_degree
-            stepped = sorted(G.step_fn(v, i) for i in range(G.regular_degree))
+            assert len(nbrs) == G.degree_bound
+            stepped = sorted(G.step_fn(v, i) for i in range(G.degree_bound))
             assert stepped == nbrs
             v = nbrs[rnd.randrange(len(nbrs))]
 
@@ -376,7 +376,7 @@ def test_integer_families_build_the_keys_the_validating_constructor_does():
             assert nbrs == sorted(nbrs)
             keys = list(nbrs)
             if G.step_fn is not None:
-                keys += [G.step_fn(v, i) for i in range(G.regular_degree)]
+                keys += [G.step_fn(v, i) for i in range(G.degree_bound)]
             for k in keys:
                 assert type(k.coords) is tuple
                 assert all(type(c) is int for c in k.coords)
@@ -386,11 +386,11 @@ def test_integer_families_build_the_keys_the_validating_constructor_does():
 
 
 def test_irregular_families_do_not_advertise_a_step_function():
-    assert path_graph(5).regular_degree is None
-    assert caterpillar_graph().regular_degree is None
+    assert path_graph(5).step_fn is None
+    assert caterpillar_graph().step_fn is None
     assert lamplighter(
         path_graph(3), line_graph(), IntPoint((0,))
-    ).regular_degree is None
+    ).step_fn is None
 
 
 def _canon_ball(g):

@@ -8,7 +8,6 @@ from lampharm.graphs import (
     FiniteGraph,
     ball,
     caterpillar_graph,
-    cycle_graph,
     graph_distances,
     lamplighter,
     line_graph,
@@ -17,7 +16,6 @@ from lampharm.graphs import (
 from lampharm.isoperimetry import edge_boundary
 from lampharm.keys import IntPoint
 from lampharm.spanning import (
-    LineRule,
     SpanningLine,
     augment_ball,
     augment_with_line,
@@ -89,20 +87,8 @@ def test_checker_rejects_bad_lines():
 def test_builtin_line_rule():
     rule = builtin_spanning_line("line")
     assert rule.k == 1
-    assert rule.at(5) == IntPoint((5,))
+    assert rule.enumerate_fn(5) == IntPoint((5,))
     assert check_line_rule(line_graph(), rule, -20, 20)
-
-
-def test_builtin_cycle_rule_wraps():
-    rule = builtin_spanning_line("cycle", 7)
-    assert rule.at(7) == rule.at(0)
-    assert check_line_rule(cycle_graph(7), rule, 0, 6)
-
-
-def test_builtin_path_rule_endpoints():
-    rule = builtin_spanning_line("path", 4)
-    assert rule.line_neighbors(IntPoint((0,))) == [IntPoint((1,))]
-    assert rule.line_neighbors(IntPoint((3,))) == [IntPoint((2,))]
 
 
 def test_builtin_caterpillar_rule_all_windows():
@@ -154,6 +140,34 @@ def test_augment_ball_only_keeps_in_ball_spans():
     for u, v in g_aug.edges().tolist():
         if (u, v) not in base:
             assert 0 <= graph_distances(g, u, cutoff=3)[v] <= 3
+
+
+def _criterion_5_pairs():
+    H = caterpillar_graph()
+    Hp = augment_with_line(H, builtin_spanning_line("caterpillar"))
+    L = path_graph(2)
+    G0 = lamplighter(L, H, IntPoint((0,)))
+    G1 = lamplighter(L, Hp, IntPoint((0,)))
+    return [(H, Hp, 6), (G0, G1, 4)]
+
+
+@pytest.mark.parametrize("pair", [0, 1], ids=["caterpillar", "lamplighter"])
+def test_augment_ball_adds_exactly_the_near_ball_pairs(pair):
+    H, H_aug, R = _criterion_5_pairs()[pair]
+    g, g_aug = augment_ball(H, H_aug, H.origin, R, 3)
+    index = {v: i for i, v in enumerate(g.verts)}
+    base = set(map(tuple, g.edges().tolist()))
+    want = set()
+    for i, v in enumerate(g.verts):
+        dist = graph_distances(g, i)
+        for w in H_aug.neighbors(v):
+            j = index.get(w)
+            if j is not None and i < j and (i, j) not in base \
+                    and 0 <= dist[j] <= 3:
+                want.add((i, j))
+    assert want
+    assert set(map(tuple, g_aug.edges().tolist())) == base | want
+    assert (g_aug.boundary_mask == g.boundary_mask).all()
 
 
 def test_gradient_bound_random_f():
