@@ -9,6 +9,8 @@ same ball are identical.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -384,7 +386,8 @@ def vertices_within(G, v, k):
 # ---------------------------------------------------------------------------
 # array frames
 
-# a frame whose rows are wider than this is not built (see array_frame)
+# a frame whose rows are wider than this is not built (see array_frame),
+# so a walk batch's rows stay under walks.BATCH_TRIALS * 2048 B (41 MB)
 ARRAY_ROW_BYTES_CAP = 2048
 # frames refuse coordinates this large, so +-1 moves cannot leave int64
 _COORD_LIMIT = 2**62
@@ -418,11 +421,12 @@ class WalkFrame:
     updates through flat views (column c of walker i is element
     i * width + c).
 
-    Balls: `ball_rows(center)` is the center's row; `expand(rows)`
-    returns, row after row, a fixed number of choice rows per row (its
-    neighbors, in sorted vertex-key order, where the choice is valid)
-    and a boolean mask of the valid choices, or None when all are; and
-    `decode(rows)` gives the vertex keys.
+    Balls: `ball_rows(center)` is the center's row; `code(key)` numbers
+    each vertex the frame reaches by a distinct int below `code_bound`;
+    `expand(rows, codes)` gives the codes of a fixed number k of choices
+    per row (its neighbors in sorted key order, its own code where it
+    lacks one); `follow(rows, picks)` the rows of the choices `picks`
+    (choice j of row i is i * k + j); and `decode(rows)` the vertex keys.
 
     Column 0 of a vertex's row is its key's potential.sign_projection:
     the first coordinate (the left factor's on a product), the base
@@ -445,14 +449,25 @@ class WalkFrame:
 class _IntFrame(WalkFrame):
     """Walkers on the line or grid(d) as rows of d int64 coordinates.
     Walk choices follow step_fn, (axis, sign) = divmod(choice, 2); ball
-    choices are -e_0..-e_{d-1}, then +e_{d-1}..+e_0."""
+    choices are -e_0..-e_{d-1}, then +e_{d-1}..+e_0. A code is mixed
+    radix over the box of the starts +- steps, the last axis fastest."""
 
     def __init__(self, d, starts, steps):
-        coords = [x for s in starts for x in self._coords(s)]
-        _check_coords(min(coords) - steps, max(coords) + steps)
+        axes = list(zip(*map(self._coords, starts)))
+        lo, hi = self._box([min(a) - steps for a in axes],
+                           [max(a) + steps for a in axes])
+        _check_coords(min(lo), max(hi))
         self.row_bytes = 8 * d
         eye = np.eye(d, dtype=np.int64)
         self._offsets = np.concatenate([-eye, eye[::-1]])
+        sizes = [h - l + 1 for l, h in zip(lo, hi)]
+        self._lo, self.code_bound = lo, math.prod(sizes)
+        self._strides = [math.prod(sizes[a + 1:]) for a in range(d)]
+        if self.code_bound < 2**63:
+            self._code_steps = self._offsets @ np.array(self._strides)
+
+    def _box(self, lo, hi):
+        return lo, hi
 
     def _coords(self, key):
         return key.coords
@@ -465,9 +480,16 @@ class _IntFrame(WalkFrame):
         choice = (u * len(self._offsets)).astype(np.intp)
         flat[who * state.shape[1] + (choice >> 1)] += 2 * (choice & 1) - 1
 
-    def expand(self, rows):
-        out = rows[:, None, :] + self._offsets
-        return out.reshape(-1, rows.shape[1]), None
+    def code(self, key):
+        return sum((x - l) * s for x, l, s in
+                   zip(self._coords(key), self._lo, self._strides))
+
+    def expand(self, rows, codes):
+        return (codes[:, None] + self._code_steps).ravel()
+
+    def follow(self, rows, picks):
+        row, choice = np.divmod(picks, len(self._offsets))
+        return rows[row] + self._offsets[choice]
 
     def decode(self, rows):
         return [_raw_point(tuple(r)) for r in rows.tolist()]
@@ -494,9 +516,13 @@ class _PairFrame(_IntFrame):
 class _CaterpillarFrame(_IntFrame):
     """Walkers on the caterpillar as rows (n, t), t = 1 on a leaf. A
     spine vertex's choices are its sorted neighbors left, leaf, right,
-    for walks and balls alike; a leaf's one choice is its spine vertex."""
+    for walks and balls alike; a leaf's one choice is its spine vertex.
+    A code is 2 * (n - lo) + t, lo the box's least n."""
 
     _DN = np.array([-1, 0, 1], dtype=np.int64)
+
+    def _box(self, lo, hi):
+        return [lo[0], 0], [hi[0], 1]
 
     def move(self, state, who, u):
         flat = state.reshape(-1)
@@ -508,15 +534,17 @@ class _CaterpillarFrame(_IntFrame):
         flat[at] += dn
         flat[at + 1] = spine & (choice == 1)
 
-    def expand(self, rows):
-        spine = rows[:, 1] == 0
-        out = np.repeat(rows[:, None, :], 3, axis=1)
-        out[:, :, 0] += np.where(spine[:, None], self._DN, 0)
-        out[:, :, 1] = 0
-        out[:, 1, 1] = spine
-        valid = np.ones((len(rows), 3), dtype=bool)
-        valid[~spine, 1:] = False
-        return out.reshape(-1, 2), valid.ravel()
+    def expand(self, rows, codes):
+        step = np.where(rows[:, 1:] == 0, [-2, 1, 2], [-1, 0, 0])
+        return (codes[:, None] + step).ravel()
+
+    def follow(self, rows, picks):
+        row, choice = np.divmod(picks, 3)
+        out = rows[row]
+        spine = out[:, 1] == 0
+        out[:, 0] += self._DN[choice] * spine
+        out[:, 1] = spine & (choice == 1)
+        return out
 
 
 class _LampLineFrame(WalkFrame):
@@ -525,7 +553,7 @@ class _LampLineFrame(WalkFrame):
     (their state is `lit`) over every site that the starts' lamps or
     `steps` moves from a start can reach. Walk choices follow step_fn:
     left, right, toggle the lamp at the position; ball choices are left,
-    toggle, right."""
+    toggle, right. A code is position - lo atop a one-word bitset."""
 
     _DELTA = np.array([-1, 1, 0], dtype=np.int64)
 
@@ -538,6 +566,8 @@ class _LampLineFrame(WalkFrame):
         words = (hi - self.lo) // 64 + 1
         self.row_bytes = 8 * (1 + words)
         self.lit = lit
+        self._sites = hi - self.lo + 1
+        self.code_bound = self._sites << self._sites
 
     def spawn(self, start, n):
         row = np.zeros(self.row_bytes // 8, dtype=np.int64)
@@ -560,14 +590,24 @@ class _LampLineFrame(WalkFrame):
         mask *= choice == 2
         flat[at + 1 + (site >> 6)] ^= mask
 
-    def expand(self, rows):
-        n = len(rows)
-        out = np.repeat(rows[:, None, :], 3, axis=1)
-        out[:, 0, 0] -= 1
-        out[:, 2, 0] += 1
-        site = rows[:, 0] - self.lo
-        out[np.arange(n), 1, 1 + (site >> 6)] ^= np.left_shift(1, site & 63)
-        return out.reshape(3 * n, -1), None
+    def code(self, key):
+        lamps = sum(1 << (h.coords[0] - self.lo) for h, _ in key.lamps)
+        return (key.base.coords[0] - self.lo) << self._sites | lamps
+
+    def expand(self, rows, codes):
+        code = codes[:, None] + (1 << self._sites) * np.array([-1, 0, 1])
+        code[:, 1] ^= np.left_shift(1, rows[:, 0] - self.lo)
+        return code.ravel()
+
+    def follow(self, rows, picks):
+        row, choice = np.divmod(picks, 3)
+        out = rows[row]
+        site = out[:, 0] - self.lo
+        # every pick xors its lamp word, with a zero mask unless it toggles
+        mask = np.left_shift(1, site & 63) * (choice == 1)
+        out[np.arange(len(out)), 1 + (site >> 6)] ^= mask
+        out[:, 0] += choice - 1
+        return out
 
     def decode(self, rows):
         # bit b of the little-endian bitset is site lo + b
@@ -596,13 +636,24 @@ class _WordFrame(WalkFrame):
     """Walkers on a free group as reduced words: one row of letters per
     walker, zero past the word's end, plus a length array. Walk choices
     index `letters` as step_fn does; ball choices are: drop the last
-    letter, then append each letter in ascending order."""
+    letter, then append each letter in ascending order. A lone start's
+    first len - steps letters never change; a code numbers the rest level
+    by level, as the tree's BFS does (`_levels[l]` of them are shorter
+    than l), appending a letter to index i of a level giving index
+    i * (2r - 1) plus the letter's rank among those not cancelling."""
 
     def __init__(self, letters, starts, steps):
         dtype = np.int8 if len(letters) < 256 else np.int64
         self.letters = np.array(letters, dtype=dtype)
         self.width = max(len(s.letters) for s in starts) + steps
         self.row_bytes = self.width * self.letters.itemsize + 8
+        # the letter each ball choice writes; 0 drops the last one
+        self._choices = np.concatenate([[0], np.sort(letters)]).astype(dtype)
+        self._skip = max(0, self.width - 2 * steps) if len(starts) < 2 else 0
+        q = len(letters) - 1
+        self._levels = list(itertools.accumulate(
+            [0, 1] + [(q + 1) * q**k for k in range(self.width - self._skip)]))
+        self.code_bound = self._levels[-1]
 
     def spawn(self, start, n):
         words = np.zeros((n, self.width), dtype=self.letters.dtype)
@@ -631,20 +682,39 @@ class _WordFrame(WalkFrame):
     def _rows(self, state):
         return state[0]
 
-    def expand(self, rows):
-        n, k = len(rows), len(self.letters) + 1
-        up = np.sort(self.letters)
-        length = np.count_nonzero(rows, axis=1)
-        last = rows[np.arange(n), np.maximum(length - 1, 0)]
-        out = np.repeat(rows[:, None, :], k, axis=1)
-        word = np.flatnonzero(length)
-        out[word, 0, length[word] - 1] = 0
-        out[np.arange(n)[:, None], np.arange(1, k), length[:, None]] = up
-        valid = np.empty((n, k), dtype=bool)
-        valid[:, 0] = length > 0
-        # a zero `last` (the empty word) never cancels a generator
-        valid[:, 1:] = up != -last[:, None]
-        return out.reshape(n * k, -1), valid.ravel()
+    def code(self, key):
+        w, i = (0,) + key.letters, 0
+        for t in range(self._skip + 1, len(w)):
+            i = i * (len(self.letters) - 1) + sum(
+                b < w[t] and b != -w[t - 1] for b in self.letters.tolist())
+        return self._levels[len(w) - 1 - self._skip] + i
+
+    def expand(self, rows, codes):
+        n, k = len(rows), len(self._choices)
+        levels = np.array(self._levels, dtype=np.int64)
+        level = np.searchsorted(levels, codes, side="right") - 1
+        i = codes - levels[level]
+        last = rows[np.arange(n), np.maximum(level + self._skip - 1, 0)]
+        # the append that cancels the last letter; none (k - 1) if empty
+        cancel = np.searchsorted(self._choices[1:], -last)
+        cancel[last == 0] = k - 1
+        # choice-major, so each operation runs along the rows
+        code = np.empty((k, n), dtype=np.int64)
+        # a one-letter suffix drops to the empty one, code 0, the identity's
+        code[0] = np.where(level > 1, levels[level - 1] + i // (k - 2), 0)
+        j = np.arange(k - 1)[:, None]
+        code[1:] = np.where(j == cancel, codes,
+                            levels[level + 1] + i * (k - 2) + j - (j > cancel))
+        return code.T.ravel()
+
+    def follow(self, rows, picks):
+        row, choice = np.divmod(picks, len(self._choices))
+        out = rows[row]
+        # a drop clears the last letter, an append writes the first zero
+        # cell, which every row has past its word's end
+        at = (out == 0).argmax(axis=1) - (choice == 0)
+        out[np.arange(len(out)), at] = self._choices[choice]
+        return out
 
     def decode(self, rows):
         length = np.count_nonzero(rows, axis=1).tolist()
@@ -803,78 +873,68 @@ def _oracle_ball(G, center, nbrs, R, budget):
                        np.array(indices, dtype=np.int64), dist == R, dist)
 
 
-_HASH_SEED = np.uint64(0x243F6A8885A308D3)
-_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _row_hash(rows):
-    """A 64-bit hash of each row's bytes: equal rows, equal hashes."""
-    n = len(rows)
-    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(
-        n, rows.shape[1] * rows.itemsize)
-    pad = -raw.shape[1] % 8
-    if pad:
-        raw = np.concatenate([raw, np.zeros((n, pad), np.uint8)], axis=1)
-    h = np.full(n, _HASH_SEED)
-    for word in raw.view(np.uint64).T:
-        h = (h ^ word) * _HASH_MUL
-        h ^= h >> np.uint64(31)
-    return h
+# a ball numbers its codes by a table over all of them, not by sorting,
+# where there are at most this many per vertex of its budget
+_DENSE_CODES_PER_VERTEX = 4
 
 
 def _array_ball(frame, center, R, budget):
     """ball on a frame's rows, or None where the frame cannot stand in
-    for the oracle: a center it does not encode exactly, or two distinct
-    rows with one hash. Each layer expands its rows by every choice. A
-    vertex's neighbors lie in its own layer or next to it, so one sort
-    of the hashes of the two last layers and of the choices groups each
-    choice with its equal rows: a group holding a numbered vertex is
-    that neighbor, and below radius R every other group is a vertex of
-    the next layer, numbered in order of first occurrence. The layers'
-    choices so give every vertex's CSR row.
+    for the oracle: a center it does not encode exactly, or codes past
+    int64. Each layer expands its rows' codes by every choice: a
+    numbered code is that neighbor, and below radius R the first
+    occurrence of each other code is a vertex of the next layer, numbered
+    in order. So the layers' choices give every vertex's CSR row.
     """
     rows = frame.ball_rows(center)
-    if frame.decode(rows) != [center]:
+    if frame.code_bound >= 2**63 or frame.decode(rows) != [center]:
         return None
-    layers, hashes, nbrs, n = [rows], [_row_hash(rows)], [], 1
+    codes = np.array([frame.code(center)], dtype=np.int64)
+    dense = frame.code_bound <= _DENSE_CODES_PER_VERTEX * budget
+    if dense:
+        # number[c]: code c's vertex (-1: none yet); first[c]: its first choice
+        number = np.full(frame.code_bound, -1, dtype=np.int64)
+        first = np.full(frame.code_bound, np.iinfo(np.int64).max)
+        number[codes] = 0
+    layers, layer_codes, nbrs, n = [rows], [codes], [], 1
     for r in range(R + 1):
-        # the two last layers, numbered from n - m; their hashes are
-        # distinct, so a group holds at most one of their rows, first
-        near = np.concatenate(layers[-2:])
-        m = len(near)
-        cand, valid = frame.expand(layers[-1])
-        keep = slice(None) if valid is None else valid
-        both = np.concatenate([near, cand[keep]])
-        h = np.concatenate(hashes[-2:] + [_row_hash(both[m:])])
-        perm = np.argsort(h)
-        hs = h[perm]
-        start = np.concatenate([[True], hs[1:] != hs[:-1]])
-        # rep[i]: the lowest index in i's group
-        rep = np.empty_like(perm)
-        rep[perm] = np.minimum.reduceat(perm, np.flatnonzero(start))[
-            np.cumsum(start) - 1]
-        if not np.array_equal(both[rep[m:]], both[m:]):
-            return None
-        fresh = m + np.flatnonzero(rep[m:] == np.arange(m, len(h)))
-        # vertex numbers, read through rep: a group's first row holds its
-        # number, -1 off the ball
-        number = np.arange(n - m, n - m + len(h))
-        number[m:] = -1
+        ids = code = frame.expand(layers[-1], layer_codes[-1])
+        if not dense:
+            # the same tables over groups of equal codes among the
+            # choices and the two last layers, which hold every neighbor
+            both = np.concatenate(layer_codes[-2:] + [code])
+            perm = np.argsort(both)
+            s = both[perm]
+            ids = np.empty_like(perm)
+            ids[perm] = np.cumsum(np.r_[True, s[1:] != s[:-1]]) - 1
+            number = np.full(ids[perm[-1]] + 1, -1, dtype=np.int64)
+            first = np.full(len(number), len(code))
+            m = len(both) - len(code)
+            number[ids[:m]] = np.arange(n - m, n)
+            ids = ids[m:]
+        num = number[ids]
         if r < R:
+            new = np.flatnonzero(num < 0)
+            unseen = ids[new]
+            # np.minimum.at applies repeated indices in order, which a
+            # fancy assignment does not promise
+            np.minimum.at(first, unseen, new)
+            fresh = new[first[unseen] == new]
             if n + len(fresh) > budget:
                 raise BudgetExceededError(max(budget, 1), budget)
-            number[fresh] = np.arange(n, n + len(fresh))
-            layers.append(both[fresh])
-            hashes.append(h[fresh])
+            number[ids[fresh]] = np.arange(n, n + len(fresh))
+            num[new] = number[unseen]
+            layers.append(frame.follow(layers[-1], fresh))
+            layer_codes.append(code[fresh])
             n += len(fresh)
-        nbr = np.full(len(cand), -1, dtype=np.int64)
-        nbr[keep] = number[rep[m:]]
-        nbrs.append(nbr)
+        nbrs.append(num)
     nbr = np.sort(np.concatenate(nbrs).reshape(n, -1), axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(nbr >= 0, axis=1), out=indptr[1:])
+    # a choice that a vertex lacks names the vertex itself
+    keep = (nbr >= 0) & (nbr != np.arange(n)[:, None])
+    k = nbr.shape[1]
+    indptr = np.r_[0, np.cumsum(keep, dtype=np.int64)[k - 1::k]]
     dist = np.repeat(np.arange(R + 1), [len(x) for x in layers])
-    return FiniteGraph(None, indptr, nbr[nbr >= 0], dist == R, dist,
+    return FiniteGraph(None, indptr, nbr[keep], dist == R, dist,
                        np.concatenate(layers), frame)
 
 

@@ -81,9 +81,6 @@ def _resolve_starts(G, cfg):
 
 
 NEIGHBOR_CACHE_CAP = 100_000
-# a walk whose array rows would be wider than ARRAY_ROW_BYTES_CAP runs on
-# the object engine, which bounds a batch's array state at
-# BATCH_TRIALS * 2048 bytes (41 MB)
 
 
 class _KeyFrame:

@@ -54,3 +54,18 @@ def dense_reference(g, bvals):
             for w in g.adj[v]:
                 A[v, w] -= 1.0
     return np.linalg.solve(A, b)
+
+
+def free_group_oscillation(rank, p, R, w):
+    """The window-w oscillation of the harmonic extension of the sign
+    split on the radius-R ball of the free group of the given rank,
+    exactly: (1 - c^w) / (1 - c^R), c = (2 rank - 1)^(-1 / (p - 1)).
+
+    By symmetry the solution depends only on a word's side (the sign of
+    its first letter) and length, and is 1/2 at the identity. Balancing
+    the p-Laplacian at a word of length 1..R-1 against its 2 rank - 1
+    children scales each length step's increment by c, and the sphere
+    holds the values 0 and 1, so the window spans
+    2 * (f_w - 1/2) = (1 - c^w) / (1 - c^R)."""
+    c = (2 * rank - 1) ** (-1 / (p - 1))
+    return (1 - c**w) / (1 - c**R)

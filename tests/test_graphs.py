@@ -528,16 +528,31 @@ def test_ball_falls_back_where_the_frame_cannot_encode_the_center():
     _assert_same_ball(G, odd, 2)
 
 
-def test_ball_falls_back_on_a_row_hash_collision(monkeypatch):
+def test_ball_falls_back_where_lamp_codes_could_leave_int64():
+    # lamps 61 sites apart fit a two-word row, but not a 63-bit code of
+    # the position and the sites' bitset
+    G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
+    wide = _lit(0, 0, [0, 60])
+    counted, calls = _counting(G)
+    g = ball(counted, wide, 2)
+    assert len(calls) == g.n == 10
+    _assert_same_ball(G, wide, 2)
+
+
+@pytest.mark.parametrize(
+    "G, center", _ARRAY_FAMILIES,
+    ids=[f"{G.name}@{'origin' if c is None else format_key(c)}"
+         for G, c in _ARRAY_FAMILIES])
+def test_array_ball_sorted_codes_match_the_dense_table(G, center,
+                                                       monkeypatch):
     from lampharm import graphs
 
-    monkeypatch.setattr(graphs, "_row_hash",
-                        lambda rows: np.zeros(len(rows), dtype=np.uint64))
-    G = free_group_graph(2)
-    counted, calls = _counting(G)
-    g = ball(counted, G.origin, 3)
-    assert len(calls) == g.n == 53
-    _assert_same_ball(G, G.origin, 3)
+    center = G.origin if center is None else center
+    default = [ball(G, center, R) for R in range(7)]
+    monkeypatch.setattr(graphs, "_DENSE_CODES_PER_VERTEX", 0)
+    for R, g in enumerate(default):
+        assert _canon_ball(ball(G, center, R)) == _canon_ball(g)
+        _assert_same_ball(G, center, R)
 
 
 @pytest.mark.parametrize("G, center", [

@@ -4,7 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from _instances import criterion_3_instances, dense_reference, random_connected
+from _instances import (
+    criterion_3_instances,
+    dense_reference,
+    free_group_oscillation,
+    random_connected,
+)
 from lampharm.graphs import (
     FiniteGraph,
     ball,
@@ -32,6 +37,7 @@ from lampharm.potential import (
     sign_projection,
     solve_dirichlet,
     split_values,
+    window_oscillation,
 )
 
 
@@ -740,3 +746,20 @@ def test_reduced_solves_match_dense_solves_off_bipartite_graphs(p):
         if len(bidx) > 1:
             want = _dense_p_reference(g, bvals, p)
             assert np.max(np.abs(sol.values - want)) < 1e-8
+
+
+@pytest.mark.parametrize("p, bound", [(1.5, 1e-9), (2.0, 1e-14),
+                                      (3.0, 1e-12)])
+@pytest.mark.parametrize("rank, radii", [(2, (3, 5, 8)), (3, (3, 5))])
+def test_free_group_oscillation_matches_the_closed_form(rank, radii, p,
+                                                        bound):
+    # run to the rounding floor: at p > 2 the default tolerance stops on
+    # a residual that leaves value errors up to ~2e-8 on these balls
+    G = free_group_graph(rank)
+    for R in radii:
+        g = ball(G, G.origin, R)
+        sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p,
+                                               tolerance=0.0))
+        for w in range(R + 1):
+            assert abs(window_oscillation(g, sol, w)
+                       - free_group_oscillation(rank, p, R, w)) <= bound
