@@ -553,20 +553,22 @@ class _LampLineFrame(WalkFrame):
     (their state is `lit`) over every site that the starts' lamps or
     `steps` moves from a start can reach. Walk choices follow step_fn:
     left, right, toggle the lamp at the position; ball choices are left,
-    toggle, right. A code is position - lo atop a one-word bitset."""
+    toggle, right. A code is the position atop a one-word bitset over
+    the sites in reach; a lone start's other lamps never change."""
 
     _DELTA = np.array([-1, 1, 0], dtype=np.int64)
 
     def __init__(self, starts, steps, lit):
         pos = [s.base.coords[0] for s in starts]
         lit_sites = [h.coords[0] for s in starts for h, _ in s.lamps]
-        self.lo = min([min(pos) - steps] + lit_sites)
-        hi = max([max(pos) + steps] + lit_sites)
+        reach = [min(pos) - steps, max(pos) + steps]
+        self.lo, hi = min(reach + lit_sites), max(reach + lit_sites)
         _check_coords(self.lo, hi)
         words = (hi - self.lo) // 64 + 1
         self.row_bytes = 8 * (1 + words)
         self.lit = lit
-        self._sites = hi - self.lo + 1
+        self._code_lo, code_hi = reach if len(starts) < 2 else (self.lo, hi)
+        self._sites = code_hi - self._code_lo + 1
         self.code_bound = self._sites << self._sites
 
     def spawn(self, start, n):
@@ -591,12 +593,13 @@ class _LampLineFrame(WalkFrame):
         flat[at + 1 + (site >> 6)] ^= mask
 
     def code(self, key):
-        lamps = sum(1 << (h.coords[0] - self.lo) for h, _ in key.lamps)
-        return (key.base.coords[0] - self.lo) << self._sites | lamps
+        site = [h.coords[0] - self._code_lo for h, _ in key.lamps]
+        lamps = sum(1 << b for b in site if 0 <= b < self._sites)
+        return (key.base.coords[0] - self._code_lo) << self._sites | lamps
 
     def expand(self, rows, codes):
         code = codes[:, None] + (1 << self._sites) * np.array([-1, 0, 1])
-        code[:, 1] ^= np.left_shift(1, rows[:, 0] - self.lo)
+        code[:, 1] ^= np.left_shift(1, rows[:, 0] - self._code_lo)
         return code.ravel()
 
     def follow(self, rows, picks):
@@ -873,8 +876,8 @@ def _oracle_ball(G, center, nbrs, R, budget):
                        np.array(indices, dtype=np.int64), dist == R, dist)
 
 
-# a ball numbers its codes by a table over all of them, not by sorting,
-# where there are at most this many per vertex of its budget
+# two int64 tables over every code (16 B a code) number a ball's codes,
+# faster than sorting, where there are this many or fewer per budget vertex
 _DENSE_CODES_PER_VERTEX = 4
 
 
@@ -903,12 +906,9 @@ def _array_ball(frame, center, R, budget):
             # the same tables over groups of equal codes among the
             # choices and the two last layers, which hold every neighbor
             both = np.concatenate(layer_codes[-2:] + [code])
-            perm = np.argsort(both)
-            s = both[perm]
-            ids = np.empty_like(perm)
-            ids[perm] = np.cumsum(np.r_[True, s[1:] != s[:-1]]) - 1
-            number = np.full(ids[perm[-1]] + 1, -1, dtype=np.int64)
-            first = np.full(len(number), len(code))
+            uniq, ids = np.unique(both, return_inverse=True)
+            number = np.full(len(uniq), -1, dtype=np.int64)
+            first = np.full(len(uniq), len(code))
             m = len(both) - len(code)
             number[ids[:m]] = np.arange(n - m, n)
             ids = ids[m:]

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from lampharm import graphs
 from lampharm.descriptors import DescriptorError, parse_descriptor
 from lampharm.graphs import (
     BudgetExceededError,
@@ -455,16 +456,20 @@ _ARRAY_FAMILIES = [
     "G, center", _ARRAY_FAMILIES,
     ids=[f"{G.name}@{'origin' if c is None else format_key(c)}"
          for G, c in _ARRAY_FAMILIES])
-def test_array_ball_matches_oracle_ball(G, center):
+def test_array_ball_matches_oracle_ball(G, center, monkeypatch):
     assert G.walk_encoding is not None
     center = G.origin if center is None else center
     oracle = dataclasses.replace(G, walk_encoding=None)
-    for R in range(7):
-        _assert_same_ball(G, center, R)
-        # the sign split read off the rows equals the one of the keys
-        fast = ball(G, center, R)
-        assert fast.rows is not None
-        assert split_values(fast) == split_values(ball(oracle, center, R))
+    # the dense code table, then (a zero limit) sorted codes everywhere
+    for dense_limit in (graphs._DENSE_CODES_PER_VERTEX, 0):
+        monkeypatch.setattr(graphs, "_DENSE_CODES_PER_VERTEX", dense_limit)
+        for R in range(7):
+            _assert_same_ball(G, center, R)
+            # the sign split read off the rows equals the one of the keys
+            fast = ball(G, center, R)
+            assert fast.rows is not None
+            assert (split_values(fast)
+                    == split_values(ball(oracle, center, R)))
 
 
 @pytest.mark.parametrize("G", [G for G, c in _ARRAY_FAMILIES if c is None],
@@ -528,31 +533,21 @@ def test_ball_falls_back_where_the_frame_cannot_encode_the_center():
     _assert_same_ball(G, odd, 2)
 
 
-def test_ball_falls_back_where_lamp_codes_could_leave_int64():
-    # lamps 61 sites apart fit a two-word row, but not a 63-bit code of
-    # the position and the sites' bitset
+def test_lamp_ball_codes_only_the_sites_it_can_reach():
+    # lamps 61 sites apart fit a two-word row but not a 63-bit code over
+    # every site; the lamps a ball cannot reach stay out of its codes
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
     wide = _lit(0, 0, [0, 60])
     counted, calls = _counting(G)
     g = ball(counted, wide, 2)
-    assert len(calls) == g.n == 10
+    assert len(calls) == 1 and g.rows is not None and g.n == 10
     _assert_same_ball(G, wide, 2)
-
-
-@pytest.mark.parametrize(
-    "G, center", _ARRAY_FAMILIES,
-    ids=[f"{G.name}@{'origin' if c is None else format_key(c)}"
-         for G, c in _ARRAY_FAMILIES])
-def test_array_ball_sorted_codes_match_the_dense_table(G, center,
-                                                       monkeypatch):
-    from lampharm import graphs
-
-    center = G.origin if center is None else center
-    default = [ball(G, center, R) for R in range(7)]
-    monkeypatch.setattr(graphs, "_DENSE_CODES_PER_VERTEX", 0)
-    for R, g in enumerate(default):
-        assert _canon_ball(ball(G, center, R)) == _canon_ball(g)
-        _assert_same_ball(G, center, R)
+    _assert_same_ball(G, _lit(0, 0, [-40, -5, 3, 40]), 6)
+    # a radius whose reachable sites no 63-bit code holds builds no
+    # array ball
+    frame = graphs.array_frame(G, (G.origin,), 29)
+    assert frame.code_bound >= 2**63
+    assert graphs._array_ball(frame, G.origin, 28, 10) is None
 
 
 @pytest.mark.parametrize("G, center", [
