@@ -19,7 +19,6 @@ from .graphs import (
     free_group_graph,
     graph_distances,
     grid_graph,
-    induced_on,
     k_fuzz,
     lamplighter,
     line_graph,
@@ -74,8 +73,8 @@ __all__ = [
     "BudgetExceededError", "DEFAULT_VERTEX_BUDGET", "FiniteGraph",
     "GraphOracle", "InvalidVertexError", "ball", "caterpillar_graph",
     "cycle_graph", "direct_product", "end_estimate",
-    "free_group_graph", "graph_distances", "grid_graph", "induced_on",
-    "k_fuzz", "lamplighter", "line_graph", "path_graph",
+    "free_group_graph", "graph_distances", "grid_graph", "k_fuzz",
+    "lamplighter", "line_graph", "path_graph",
     "DescriptorError", "parse_descriptor",
     "DirichletProblem", "DisconnectedInteriorError",
     "NonConvergenceError", "SolveStats", "SolverError", "VertexFunction",

@@ -21,11 +21,11 @@ from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     FiniteGraph,
-    _ends_of_ball,
     ball,
     ball_sizes,
     direct_product,
     edge_list_text,
+    end_estimate,
     free_group_graph,
     grid_graph,
     lamplighter,
@@ -127,7 +127,7 @@ def cmd_build_graph(args):
     for r, n, m in sizes:
         print(f"{r} {n} {m}")
     inner = max(1, R // 2)
-    ends = _ends_of_ball(g, inner, R)
+    ends = end_estimate(g, inner, R)
     print(f"end estimate (r={inner}, R={R}): {ends}")
     _write_out(args, "ball_edges.txt", edge_list_text(g))
     _write_out(args, "ball_vertices.txt", vertex_table_text(g))
@@ -402,11 +402,11 @@ def oscillation_suite(seed=42, budget=None):
             ),
         }
     )
+    balls = {R: ball(G, G.origin, R, budget=budget) for R in (4, 6, 8)}
     for p in (1.5, 2.0):
         fixed, moving = [], []
-        for R in (4, 6, 8):
+        for R, g in balls.items():
             # one solve serves the fixed window B_2 and the half-ball
-            g = ball(G, G.origin, R, budget=budget)
             sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p))
             osc_f = window_oscillation(g, sol, 2)
             osc_m = window_oscillation(g, sol, R // 2)

@@ -785,9 +785,6 @@ class FiniteGraph:
         This fixed enumeration is the index space of `gradient`."""
         return self._edges
 
-    def n_edges(self):
-        return len(self.edges())
-
     @classmethod
     def from_edges(cls, n, edges, boundary=(), verts=None):
         """Build directly from an undirected edge list (test/CLI input).
@@ -810,11 +807,6 @@ class FiniteGraph:
         if verts is None:
             verts = [IntPoint((i,)) for i in range(n)]
         return cls(list(verts), indptr, v, mask)
-
-
-def _index_row(index, nbrs):
-    """Sorted indices of the oracle neighbors `nbrs` that `index` holds."""
-    return sorted(j for j in map(index.get, nbrs) if j is not None)
 
 
 def ball(G, center, R, budget=None):
@@ -868,7 +860,7 @@ def _oracle_ball(G, center, nbrs, R, budget):
                     index[w] = len(verts)
                     verts.append(w)
                     dist.append(dv + 1)
-        indices += _index_row(index, nbrs)
+        indices += sorted(j for j in map(index.get, nbrs) if j is not None)
         indptr.append(len(indices))
         nbrs = None
     dist = np.array(dist, dtype=np.int64)
@@ -938,23 +930,6 @@ def _array_ball(frame, center, R, budget):
                        np.concatenate(layers), frame)
 
 
-def induced_on(G, verts):
-    """Induced FiniteGraph on an explicit vertex list of oracle G.
-    Boundary = vertices with an oracle-neighbor outside the list."""
-    index = {v: i for i, v in enumerate(verts)}
-    indptr = [0]
-    indices = []
-    mask = np.zeros(len(verts), dtype=bool)
-    for i, v in enumerate(verts):
-        nbrs = G.neighbors(v)
-        row = _index_row(index, nbrs)
-        indices += row
-        indptr.append(len(indices))
-        mask[i] = len(row) < len(nbrs)
-    return FiniteGraph(list(verts), np.array(indptr, dtype=np.int64),
-                       np.array(indices, dtype=np.int64), mask)
-
-
 def _row_slots(indptr, rows):
     """Positions in a CSR `indices` array of the rows `rows`, row after
     row."""
@@ -993,20 +968,16 @@ def ball_sizes(g, R):
     return np.cumsum(np.bincount(g.center_dist, minlength=R + 1)).tolist()
 
 
-def end_estimate(G, r, R, budget=None):
-    """Finite-scale proxy for the number of ends: connected components of
-    B_R minus B_r that contain a vertex at distance exactly R.
+def end_estimate(g, r, R):
+    """Finite-scale proxy for the number of ends, read off g = B_R around
+    its center: connected components of B_R minus B_r that contain a
+    vertex at distance exactly R.
 
     A heuristic, not the end definition itself: it stabilizes to the end
     count as r and R grow for the shipped families, and exceeding 2 at
     moderate scale flags infinitely many ends. Components that do not reach
     the outer sphere are bounded pockets and are discarded.
     """
-    return _ends_of_ball(ball(G, G.origin, R, budget=budget), r, R)
-
-
-def _ends_of_ball(g, r, R):
-    """end_estimate(G, r, R) read off g = B_R of G around its origin."""
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     dist = g.center_dist

@@ -23,10 +23,10 @@ eps shrinking tenfold per stage from a tenth of the boundary span to the
 rounding of the values: the Hessian, a weighted graph Laplacian, goes to
 the same CG, an Armijo search damps each step, and each iterate is
 clamped to the boundary range, so the maximum principle is exact.
-`max_iters` counts Newton steps, or at p=2 CG steps on S; running out
-of them, or a last stage that stops making progress, raises
-NonConvergenceError with the residual reached. Each result carries a
-SolveStats.
+A solve takes at most DEFAULT_MAX_ITERS Newton steps, or at p=2 CG
+steps on S; running out of them, or a last stage that stops making
+progress, raises NonConvergenceError with the residual reached. Each
+result carries a SolveStats.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class SolverError(RuntimeError):
 
 
 class NonConvergenceError(SolverError):
-    """A solve ran out of max_iters, or stalled above the floor; carries
+    """A solve ran out of steps, or stalled above the floor; carries
     the residual reached."""
 
     def __init__(self, last_residual, iters):
@@ -151,7 +151,8 @@ class SolveStats:
 
 @dataclass
 class DirichletProblem:
-    """Boundary data on a FiniteGraph plus solver knobs.
+    """Boundary data on a FiniteGraph, the exponent p and the stop
+    tolerance.
 
     boundary_values must be total: its keys are exactly the boundary-flagged
     vertex indices.
@@ -161,7 +162,6 @@ class DirichletProblem:
     boundary_values: dict
     p: float = 2.0
     tolerance: float = DEFAULT_TOLERANCE
-    max_iters: int = DEFAULT_MAX_ITERS
 
 
 def solve_dirichlet(prob):
@@ -223,11 +223,11 @@ def solve_dirichlet(prob):
     system = _schur(owner, col, _red_set(owner, col, dist[interior] % 2 == 0))
     if p == 2.0:
         method = "cg"
-        iters = _solve_p2_cg(f, interior, rows, system, stop, prob.max_iters)
+        iters = _solve_p2_cg(f, interior, rows, system, stop,
+                             DEFAULT_MAX_ITERS)
     else:
         method = "newton"
-        iters = _solve_newton(g, f, interior, rows, system, p, stop,
-                              prob.max_iters)
+        iters = _solve_newton(g, f, interior, rows, system, p, stop)
     reason = "tolerance" if prob.tolerance >= floor else "floor"
     return VertexFunction(f, SolveStats(method, iters, reason,
                                         harmonic_residual(f, g, p)))
@@ -409,17 +409,19 @@ def _solve_p2_cg(f, interior, rows, system, stop, max_iters):
     return it
 
 
-def _solve_newton(g, f, interior, rows, system, p, stop, max_iters):
+def _solve_newton(g, f, interior, rows, system, p, stop):
     """Damped Newton on the smoothed p-energy, in place on f, with rows
-    and system as _solve_p2_cg has them. Returns the Newton steps taken."""
+    and system as _solve_p2_cg has them, from the p=2 solution (at most
+    4 CG steps per unknown, as each Hessian solve). Returns the Newton
+    steps taken."""
     bvals = f[g.boundary_mask]
     lo, hi = float(bvals.min()), float(bvals.max())
     m = max(-lo, hi)
+    n_i = len(interior)
     _solve_p2_cg(f, interior, rows, system,
-                 max(stop, residual_floor(m, 2.0)), DEFAULT_MAX_ITERS)
+                 max(stop, residual_floor(m, 2.0)), 4 * n_i)
     f[interior] = np.clip(f[interior], lo, hi)
     owner, nbr, _ = rows
-    n_i = len(interior)
     deg = np.bincount(owner).astype(float)
     me = interior[owner]
     eu, ev = g.edges().T
@@ -457,7 +459,7 @@ def _solve_newton(g, f, interior, rows, system, p, stop, max_iters):
             if gres <= target and not last:
                 break
             best, since = (gres, 0) if gres < 0.5 * best else (best, since + 1)
-            if steps == max_iters:
+            if steps == DEFAULT_MAX_ITERS:
                 raise NonConvergenceError(res, steps)
             t = 0.0
             if since < 8:

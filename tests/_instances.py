@@ -69,3 +69,11 @@ def free_group_oscillation(rank, p, R, w):
     2 * (f_w - 1/2) = (1 - c^w) / (1 - c^R)."""
     c = (2 * rank - 1) ** (-1 / (p - 1))
     return (1 - c**w) / (1 - c**R)
+
+
+def line_oscillation(w, R):
+    """The window-w oscillation of the harmonic extension of the sign
+    split on the radius-R ball of the line, exactly: w / R. The split
+    puts 0 and 1 on the two ends, and on a path every p-harmonic
+    function is linear, so the window's ends differ by w / R."""
+    return w / R

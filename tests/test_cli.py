@@ -357,3 +357,18 @@ def test_build_graph_builds_the_ball_once(monkeypatch, capsys):
     assert code == 0
     assert radii == [6]
     assert "end estimate (r=3, R=6): 1" in capsys.readouterr().out
+
+
+def test_oscillation_suite_builds_each_lamplighter_ball_once(monkeypatch):
+    from lampharm import cli, graphs
+
+    radii = []
+
+    def counted(G, center, R, **kw):
+        radii.append(R)
+        return graphs.ball(G, center, R, **kw)
+
+    monkeypatch.setattr(cli, "ball", counted)
+    report = cli.oscillation_suite()
+    assert report.all_passed
+    assert radii == [4, 6, 8]

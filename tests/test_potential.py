@@ -8,6 +8,7 @@ from _instances import (
     criterion_3_instances,
     dense_reference,
     free_group_oscillation,
+    line_oscillation,
     random_connected,
 )
 from lampharm.graphs import (
@@ -214,12 +215,11 @@ def test_disconnected_interior_raises():
         solve_dirichlet(DirichletProblem(g, {0: 1.0}))
 
 
-def test_nonconvergence_carries_residual():
+def test_nonconvergence_carries_residual(monkeypatch):
+    monkeypatch.setattr(potential, "DEFAULT_MAX_ITERS", 2)
     g = _path(30)
     with pytest.raises(NonConvergenceError) as e:
-        solve_dirichlet(
-            DirichletProblem(g, {0: 0.0, 30: 1.0}, tolerance=0.0, max_iters=2)
-        )
+        solve_dirichlet(DirichletProblem(g, {0: 0.0, 30: 1.0}, tolerance=0.0))
     assert e.value.iters == 2
     assert e.value.last_residual > 0
 
@@ -372,10 +372,11 @@ def test_constant_and_trivial_solves_report_stats():
     assert (st.method, st.iterations, st.residual) == ("constant", 0, 0.0)
 
 
-def test_newton_max_iters_counts_newton_steps():
+def test_newton_max_iters_counts_newton_steps(monkeypatch):
+    monkeypatch.setattr(potential, "DEFAULT_MAX_ITERS", 2)
     g, bvals = _lamp_sign_split(6)
     with pytest.raises(NonConvergenceError) as e:
-        solve_dirichlet(DirichletProblem(g, bvals, p=1.5, max_iters=2))
+        solve_dirichlet(DirichletProblem(g, bvals, p=1.5))
     assert e.value.iters == 2
     assert e.value.last_residual > residual_floor(1.0, 1.5)
 
@@ -763,3 +764,15 @@ def test_free_group_oscillation_matches_the_closed_form(rank, radii, p,
         for w in range(R + 1):
             assert abs(window_oscillation(g, sol, w)
                        - free_group_oscillation(rank, p, R, w)) <= bound
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+def test_line_oscillation_matches_the_closed_form(p):
+    G = line_graph()
+    for R in (3, 8, 20, 64):
+        g = ball(G, G.origin, R)
+        sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p,
+                                               tolerance=0.0))
+        for w in range(R + 1):
+            assert abs(window_oscillation(g, sol, w)
+                       - line_oscillation(w, R)) <= 1e-13

@@ -228,7 +228,7 @@ def test_lamplighter_augmented_pair_bound():
     Hp = augment_with_line(H, builtin_spanning_line("caterpillar"))
     G1 = lamplighter(L, Hp, IntPoint((0,)))
     g, g_aug = augment_ball(G0, G1, G0.origin, 4, 3)
-    assert g_aug.n_edges() > g.n_edges()
+    assert len(g_aug.edges()) > len(g.edges())
     rng = np.random.default_rng(8)
     for _ in range(25):
         f = rng.normal(size=g.n)
