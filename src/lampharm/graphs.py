@@ -9,10 +9,10 @@ same ball are identical.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,23 +90,9 @@ class GraphOracle:
 
 
 def line_graph():
-    """The two-way infinite line on IntPoint((n,))."""
-
-    def nbrs(v):
-        if not isinstance(v, IntPoint) or len(v.coords) != 1:
-            raise InvalidVertexError(f"not a line vertex: {v!r}")
-        (x,) = v.coords
-        return [_raw_point((x - 1,)), _raw_point((x + 1,))]
-
-    return GraphOracle(
-        nbrs, IntPoint((0,)), degree_bound=2, name="line",
-        step_fn=_line_step,
-        walk_encoding=lambda starts, steps: _IntFrame(1, starts, steps),
-    )
-
-
-def _line_step(v, i):
-    return _raw_point((v.coords[0] + (1 if i else -1),))
+    """The two-way infinite line on IntPoint((n,)): grid(1), named
+    "line"."""
+    return dataclasses.replace(grid_graph(1), name="line")
 
 
 def _flip_step(v, i):
@@ -290,7 +276,9 @@ def lamplighter(L, H, root_o):
             cur = v.lamp_at(v.base, root_o)
             return v.with_lamp(v.base, l_step(cur, i - hr), root_o)
 
-        if L.step_fn is _flip_step and H.step_fn is _line_step:
+        # H is the line: it steps as grid(1) does
+        if (L.step_fn is _flip_step and H.step_fn is _grid_step
+                and H.degree_bound == 2):
             lit = _flip_step(root_o, 0)
 
             def encoding(starts, steps):
@@ -330,9 +318,9 @@ def direct_product(H1, H2):
                 return PairKey(s1(v.left, i), v.right)
             return PairKey(v.left, s2(v.right, i - r1))
 
-    # a factor that steps as the line or grid(d) does is d-dimensional
-    d1, d2 = (H.degree_bound // 2 if H.step_fn in (_line_step, _grid_step)
-              else 0 for H in (H1, H2))
+    # a factor that steps as grid(d) does is d-dimensional
+    d1, d2 = (H.degree_bound // 2 if H.step_fn is _grid_step else 0
+              for H in (H1, H2))
     return GraphOracle(
         nbrs,
         PairKey(H1.origin, H2.origin),
@@ -351,9 +339,18 @@ def k_fuzz(G, k):
         raise ValueError(f"fuzz parameter must be >= 1, got {k}")
 
     def nbrs(v):
-        near = vertices_within(G, v, k)
-        near.remove(v)
-        return sorted(near)
+        # a BFS that calls G.neighbors only on the vertices closer than k
+        seen, layer = {v}, [v]
+        for _ in range(k):
+            nxt = []
+            for u in layer:
+                for w in G.neighbors(u):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            layer = nxt
+        seen.remove(v)
+        return sorted(seen)
 
     bound = None
     D = G.degree_bound
@@ -365,22 +362,6 @@ def k_fuzz(G, k):
         else:
             bound = D * ((D - 1) ** k - 1) // (D - 2)
     return GraphOracle(nbrs, G.origin, degree_bound=bound, name=f"{G.name}^[{k}]")
-
-
-def vertices_within(G, v, k):
-    """The set of vertices within distance k of v in G: a BFS that calls
-    G.neighbors only on the vertices closer than k."""
-    seen = {v}
-    layer = [v]
-    for _ in range(k):
-        nxt = []
-        for u in layer:
-            for w in G.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        layer = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +716,8 @@ class FiniteGraph:
     Vertices carry a stable index; `verts[i]` is vertex i's key. The
     adjacency is stored once, as int64 CSR arrays: the neighbors of
     vertex v are the sorted indices `indices[indptr[v]:indptr[v + 1]]`,
-    and `n` is read off `indptr`. `adj` gives the same rows as Python
-    lists, built on first use, for Python-loop code. Boundary vertices
+    and `n` is read off `indptr`. `adj` builds the same rows as Python
+    lists on each read, for Python-loop code. Boundary vertices
     are those with an oracle-neighbor outside `verts` (and, in a ball,
     those on the outer sphere); interior vertices therefore have their
     full degree represented. A ball also keeps `center_dist`, the
@@ -765,7 +746,7 @@ class FiniteGraph:
     def n(self):
         return len(self.indptr) - 1
 
-    @cached_property
+    @property
     def adj(self):
         flat, ptr = self.indices.tolist(), self.indptr.tolist()
         return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
@@ -774,16 +755,12 @@ class FiniteGraph:
         """The vertex each entry of `indices` belongs to."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    @cached_property
-    def _edges(self):
-        u, v = self.row_owners(), self.indices
-        keep = u < v
-        return np.stack([u[keep], v[keep]], axis=1)
-
     def edges(self):
         """(m, 2) int array of unordered edges, u < v, lexicographic.
         This fixed enumeration is the index space of `gradient`."""
-        return self._edges
+        u, v = self.row_owners(), self.indices
+        keep = u < v
+        return np.stack([u[keep], v[keep]], axis=1)
 
     @classmethod
     def from_edges(cls, n, edges, boundary=(), verts=None):
@@ -920,11 +897,12 @@ def _array_ball(frame, center, R, budget):
             layer_codes.append(code[fresh])
             n += len(fresh)
         nbrs.append(num)
-    nbr = np.sort(np.concatenate(nbrs).reshape(n, -1), axis=1)
+    nbr = np.concatenate(nbrs).reshape(n, -1)
+    nbr.sort(axis=1)
     # a choice that a vertex lacks names the vertex itself
     keep = (nbr >= 0) & (nbr != np.arange(n)[:, None])
-    k = nbr.shape[1]
-    indptr = np.r_[0, np.cumsum(keep, dtype=np.int64)[k - 1::k]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     dist = np.repeat(np.arange(R + 1), [len(x) for x in layers])
     return FiniteGraph(None, indptr, nbr[keep], dist == R, dist,
                        np.concatenate(layers), frame)

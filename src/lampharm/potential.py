@@ -102,12 +102,7 @@ def p_energy(f, g, p):
     each connected component. p >= 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals = as_values(f, g)
-    e = g.edges()
-    if len(e) == 0:
-        return 0.0
-    d = np.abs(vals[e[:, 1]] - vals[e[:, 0]])
-    return float(np.sum(d**p))
+    return float(np.sum(np.abs(gradient(f, g)) ** p))
 
 
 def harmonic_residual(f, g, p=2.0):

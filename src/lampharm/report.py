@@ -64,11 +64,9 @@ class ExperimentReport:
         return json.dumps(blob, sort_keys=True, indent=2)
 
     def to_csv(self):
-        lines = ["series,parameter,value"]
-        for name in sorted(self.series):
-            for p, v in self.series[name]:
-                lines.append(f"{name},{fmt_value(p)},{fmt_value(v)}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["series", "parameter", "value"],
+                        [(name, p, v) for name in sorted(self.series)
+                         for p, v in self.series[name]])
 
 
 def csv_text(header, rows):

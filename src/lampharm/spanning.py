@@ -22,7 +22,7 @@ from .graphs import (
     GraphOracle,
     ball,
     graph_distances,
-    vertices_within,
+    k_fuzz,
 )
 from .keys import IntPoint
 from .potential import as_values, p_energy
@@ -76,8 +76,8 @@ def check_line_rule(G, rule, lo, hi):
         return False
     if len(set(keys)) != len(keys):
         return False
-    return all(v in vertices_within(G, u, rule.k)
-               for u, v in zip(keys, keys[1:]))
+    near = k_fuzz(G, rule.k).neighbors
+    return all(v in near(u) for u, v in zip(keys, keys[1:]))
 
 
 def builtin_spanning_line(family):
@@ -242,12 +242,12 @@ def augment_ball(H, H_aug, center, R, k, budget=None):
     g = ball(H, center, R, budget=budget)
     index = {v: i for i, v in enumerate(g.verts)}
     edges = g.edges().tolist()
-    adj = g.adj
     for i, v in enumerate(g.verts):
+        row = g.indices[g.indptr[i]:g.indptr[i + 1]]
         near = None
         for j in map(index.get, H_aug.neighbors(v)):
             # each pair once, from its lower end; g's own edges need no BFS
-            if j is None or j <= i or j in adj[i]:
+            if j is None or j <= i or j in row:
                 continue
             if near is None:
                 near = graph_distances(g, i, cutoff=k)

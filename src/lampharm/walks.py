@@ -80,9 +80,6 @@ def _resolve_starts(G, cfg):
     return a, b
 
 
-NEIGHBOR_CACHE_CAP = 100_000
-
-
 class _KeyFrame:
     """The object engine in the walk-frame form of
     GraphOracle.walk_encoding: walkers are vertex keys, and a move is one
@@ -92,10 +89,6 @@ class _KeyFrame:
         self.degree = G.degree_bound
         self.step = G.step_fn
         self.neighbors = G.neighbors
-        # neighbors path only: revisit-heavy walks (recurrent base graphs)
-        # hit this cache hard; transient walks mostly miss far out,
-        # harmlessly
-        self.cache = {}
 
     def spawn(self, start, n):
         return [start] * n
@@ -106,14 +99,9 @@ class _KeyFrame:
             for i, x in zip(who.tolist(), u.tolist()):
                 keys[i] = step(keys[i], int(x * d))
             return
-        cache, neighbors = self.cache, self.neighbors
+        neighbors = self.neighbors
         for i, x in zip(who.tolist(), u.tolist()):
-            k = keys[i]
-            nb = cache.get(k)
-            if nb is None:
-                nb = neighbors(k)
-                if len(cache) < NEIGHBOR_CACHE_CAP:
-                    cache[k] = nb
+            nb = neighbors(keys[i])
             keys[i] = nb[int(x * len(nb))]
 
     def labels(self, keys):

@@ -42,7 +42,7 @@ def criterion_3_instances():
 def dense_reference(g, bvals):
     """The p=2 Dirichlet solution by an independent route: assemble the
     mean-value system densely and solve it directly."""
-    n = g.n
+    n, adj = g.n, g.adj
     A = np.zeros((n, n))
     b = np.zeros(n)
     for v in range(n):
@@ -50,8 +50,8 @@ def dense_reference(g, bvals):
             A[v, v] = 1.0
             b[v] = bvals[v]
         else:
-            A[v, v] = len(g.adj[v])
-            for w in g.adj[v]:
+            A[v, v] = len(adj[v])
+            for w in adj[v]:
                 A[v, w] -= 1.0
     return np.linalg.solve(A, b)
 

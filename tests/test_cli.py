@@ -372,3 +372,47 @@ def test_oscillation_suite_builds_each_lamplighter_ball_once(monkeypatch):
     report = cli.oscillation_suite()
     assert report.all_passed
     assert radii == [4, 6, 8]
+
+
+def test_spanline_finds_the_caterpillar_line(capsys):
+    code = main(["spanline", "--descriptor", '{"family": "caterpillar"}',
+                 "-R", "2", "-k", "3"])
+    assert code == 0
+    assert "status: found" in capsys.readouterr().out
+
+
+def test_build_graph_reads_the_descriptor_from_a_file(tmp_path, capsys):
+    path = tmp_path / "caterpillar.json"
+    path.write_text('{"family": "caterpillar"}')
+    code = main(["build-graph", "--descriptor", str(path), "--radius", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "family: caterpillar" in out and "degree bound: 3" in out
+    assert "1 4 3\n2 8 7\n" in out
+
+
+def test_lamplighter_root_given_as_coordinates(capsys):
+    def build(root):
+        desc = json.dumps({"family": "lamplighter",
+                           "lamp": {"family": "path", "n": 2},
+                           "space": {"family": "line"}, "root": root})
+        code = main(["build-graph", "--descriptor", desc, "--radius", "3"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert build([1]) == build(1)
+    assert build([1])[0] == 0
+    code, _, err = build([1, 0])
+    assert code == 2
+    assert "not a path vertex" in err
+
+
+def test_solve_out_of_iterations_exits_3(monkeypatch, capsys):
+    from lampharm import potential
+
+    monkeypatch.setattr(potential, "DEFAULT_MAX_ITERS", 1)
+    code = main(["solve", "--descriptor",
+                 '{"family": "free_group", "rank": 2}', "--radius", "4"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "no_convergence"

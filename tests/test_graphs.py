@@ -398,6 +398,8 @@ _ARRAY_FAMILIES = [
     (lamplighter(path_graph(2), line_graph(), IntPoint((1,))), None),
     (lamplighter(path_graph(2), line_graph(), IntPoint((1,))),
      _lit(1, -1, [-3, 2])),
+    # the line is grid(1), so this is the same frame under another name
+    (lamplighter(path_graph(2), grid_graph(1), IntPoint((0,))), None),
     (free_group_graph(1), None),
     (free_group_graph(1), WordKey((-1, -1))),
     (free_group_graph(2), None),
@@ -563,6 +565,16 @@ def test_from_edges_builds_sorted_csr_rows():
         FiniteGraph.from_edges(3, [(0, 1), (1, 3)])
     empty = FiniteGraph.from_edges(0, [])
     assert empty.n == 0 and empty.indptr.tolist() == [0]
+
+
+def test_adj_and_edges_are_computed_on_each_read():
+    # the CSR arrays are the one stored adjacency: neither view is kept
+    g = ball(grid_graph(2), IntPoint((0, 0)), 3)
+    fields = set(vars(g))
+    assert g.adj == g.adj and g.adj is not g.adj
+    assert g.edges().tolist() == g.edges().tolist()
+    assert g.edges() is not g.edges()
+    assert set(vars(g)) == fields
 
 
 def _reference_distances(adj, sources, cutoff, allowed):

@@ -348,6 +348,10 @@ def test_only_the_encoded_families_carry_an_array_walk():
     L = path_graph(2)
     assert lamplighter(L, cycle_graph(5), IntPoint((0,))).walk_encoding is None
     assert lamplighter(L, line_graph(), IntPoint((1,))).walk_encoding is not None
+    # the line is grid(1): over grid(1) the lamplighter has the line's
+    # frame, over grid(2) none
+    assert lamplighter(L, grid_graph(1), IntPoint((0,))).walk_encoding is not None
+    assert lamplighter(L, grid_graph(2), IntPoint((0,))).walk_encoding is None
     # the caterpillar is irregular: its frame moves as neighbors() picks
     assert caterpillar_graph().walk_encoding is not None
     assert caterpillar_graph().step_fn is None
