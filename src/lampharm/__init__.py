@@ -52,7 +52,6 @@ from .isoperimetry import (
     iso_ratio,
 )
 from .spanning import (
-    GradientBoundReport,
     LineRule,
     SearchResult,
     SpanningLine,
@@ -62,7 +61,7 @@ from .spanning import (
     check_line_rule,
     check_spanning_line,
     find_spanning_line,
-    verify_gradient_bound,
+    gradient_bound_certificate,
 )
 from .walks import WalkConfig, WalkSeries, tv_distance, walk_series
 from .report import ExperimentReport, dirichlet_json, fmt_value
@@ -83,10 +82,10 @@ __all__ = [
     "solve_dirichlet",
     "GrowthEstimate", "IsoProfilePoint", "default_family", "edge_boundary",
     "growth_exponent", "is_d_kappa", "iso_profile", "iso_ratio",
-    "GradientBoundReport", "LineRule", "SearchResult", "SpanningLine",
+    "LineRule", "SearchResult", "SpanningLine",
     "augment_ball", "augment_with_line", "builtin_spanning_line",
     "check_line_rule", "check_spanning_line", "find_spanning_line",
-    "verify_gradient_bound",
+    "gradient_bound_certificate",
     "WalkConfig", "WalkSeries", "tv_distance", "walk_series",
     "ExperimentReport", "dirichlet_json", "fmt_value",
 ]

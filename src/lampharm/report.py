@@ -40,12 +40,11 @@ class ExperimentReport:
     def add_series(self, name, pairs):
         self.series[name] = [(p, v) for p, v in pairs]
 
-    def add_verdict(self, name, passed, threshold, value, note=""):
+    def add_verdict(self, name, passed, threshold, value):
         self.verdicts[name] = {
             "passed": bool(passed),
             "threshold": threshold,
             "value": value,
-            "note": note,
         }
 
     @property

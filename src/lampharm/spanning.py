@@ -1,5 +1,5 @@
-"""Spanning lines in k-fuzz graphs, line augmentation, and the
-(4k+1) gradient-norm bound check.
+"""Spanning lines in k-fuzz graphs, line augmentation, and a routing
+certificate for the gradient-norm bound of an augmentation.
 
 A spanning line visits every vertex exactly once with consecutive
 vertices at base-graph distance <= k. Finite graphs carry an explicit
@@ -25,7 +25,6 @@ from .graphs import (
     k_fuzz,
 )
 from .keys import IntPoint
-from .potential import as_values, p_energy
 
 EXACT_LIMIT = 30
 DEFAULT_TIME_BUDGET = 10.0
@@ -114,36 +113,37 @@ class SearchResult:
 
 
 def _exact_search(adj, deadline):
+    """Depth-first backtracking with an explicit stack: stack[i] holds
+    the candidates left for path position i, so len(stack) is always
+    len(path) + 1 and a path as long as the graph needs no recursion."""
     n = len(adj)
     nbrs = [set(a) for a in adj]
-    order = sorted(range(n), key=lambda v: len(adj[v]))
     path = []
     visited = [False] * n
-
-    def extend(v):
-        if time.monotonic() > deadline:
-            raise TimeoutError
-        path.append(v)
-        visited[v] = True
-        if len(path) == n:
-            return True
-        # prune: an unvisited vertex with no unvisited neighbor and no
-        # edge to the path head is unreachable
-        for u in range(n):
-            if not visited[u] and u != v:
-                if all(visited[w] for w in adj[u]) and v not in nbrs[u]:
-                    break
-        else:
-            for w in adj[v]:
-                if not visited[w] and extend(w):
-                    return True
-        path.pop()
-        visited[v] = False
-        return False
-
-    for s in order:
-        if extend(s):
-            return path
+    for s in sorted(range(n), key=lambda v: len(adj[v])):
+        stack = [iter([s])]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                if path:
+                    visited[path.pop()] = False
+                continue
+            if visited[v]:
+                continue
+            if time.monotonic() > deadline:
+                raise TimeoutError
+            path.append(v)
+            visited[v] = True
+            if len(path) == n:
+                return path
+            # prune: an unvisited vertex with no unvisited neighbor and
+            # no edge to the path head is unreachable
+            stranded = any(
+                not visited[u] and v not in nbrs[u]
+                and all(visited[w] for w in adj[u])
+                for u in range(n))
+            stack.append(iter(() if stranded else adj[v]))
     return None
 
 
@@ -258,57 +258,43 @@ def augment_ball(H, H_aug, center, R, k, budget=None):
     return g, g_aug
 
 
-@dataclass
-class GradientBoundReport:
-    """Both sides of the augmented-gradient inequality for one f."""
+def gradient_bound_certificate(g, g_aug):
+    """(D, C, A) for the edges g_aug adds to g, which must share g's
+    vertex indexing and keep all of g's edges.
 
-    lhs: float
-    rhs: float
-    ok: bool
-    structural_ok: bool
-    added_edges: int
+    Each added edge (u, w), u < w, is routed along a shortest path of g
+    that steps from w to the lowest-index neighbor one step nearer u. D
+    is the longest route, C the largest number of routes through one
+    edge of g, and A the largest number of added edges at one vertex.
+    Hoelder's inequality along the routes gives, for every f and every
+    p >= 1,
 
+        ||grad f||_{p, g_aug}^p <= (1 + D^(p-1) C) ||grad f||_{p, g}^p.
 
-def verify_gradient_bound(g, g_aug, f, p, k):
-    """Check ||grad f||_{p, augmented} <= (4k+1) ||grad f||_{p, base}.
-
-    structural_ok records whether the augmentation satisfies the bound's
-    preconditions (edge superset, <= 4 added edges per vertex, added
-    endpoints within base distance k); when it is False the inequality
-    is not guaranteed. The structural check runs once per (g, g_aug, k).
+    Raises ValueError when the indexing differs, when g_aug lacks an
+    edge of g, or when an added edge joins two components of g.
     """
     if g.verts != g_aug.verts:
         raise ValueError("graphs must share vertex indexing")
-    structural_ok, added = _augmentation_structure(g, g_aug, k)
-    vals = as_values(f, g)
-    lhs = p_energy(vals, g_aug, p) ** (1.0 / p)
-    rhs = (4 * k + 1) * p_energy(vals, g, p) ** (1.0 / p)
-    ok = lhs <= rhs * (1 + 1e-12) + 1e-300
-    return GradientBoundReport(lhs, rhs, ok, structural_ok, added)
-
-
-def _augmentation_structure(g, g_aug, k):
-    """(structural_ok, number of added edges) of verify_gradient_bound,
-    computed once per (g, g_aug, k) and kept on g_aug, so that it goes
-    with it (FiniteGraphs are not changed once built, and hash by
-    identity)."""
-    memo = vars(g_aug).setdefault("_augmentation_structure", {})
-    if (g, k) not in memo:
-        memo[g, k] = _check_structure(g, g_aug, k)
-    return memo[g, k]
-
-
-def _check_structure(g, g_aug, k):
-    """The structural check, with one BFS per distinct source of an
-    added edge."""
-    base = set(map(tuple, g.edges().tolist()))
-    aug = set(map(tuple, g_aug.edges().tolist()))
-    added = sorted(aug - base)
-    ok = base <= aug
-    if added:
-        ends = np.array(added)
-        ok = ok and int(np.bincount(ends.ravel()).max()) <= 4
-        for u in np.unique(ends[:, 0]).tolist():
-            far = graph_distances(g, u, cutoff=k)[ends[ends[:, 0] == u, 1]]
-            ok = ok and bool((far >= 0).all())
-    return ok, len(added)
+    base, aug = (e[:, 0] * g.n + e[:, 1] for e in (g.edges(), g_aug.edges()))
+    lost = base[~np.isin(base, aug)]
+    if len(lost):
+        raise ValueError(f"g_aug lacks the edge {divmod(int(lost[0]), g.n)} of g")
+    added = np.stack(np.divmod(aug[~np.isin(aug, base)], g.n), axis=1)
+    if not len(added):
+        return 0, 0, 0
+    D, routed = 0, []
+    for u in np.unique(added[:, 0]).tolist():
+        dist = graph_distances(g, u)
+        for w in added[added[:, 0] == u, 1].tolist():
+            if dist[w] < 0:
+                raise ValueError(f"added edge ({u}, {w}) joins two "
+                                 f"components of g")
+            D = max(D, int(dist[w]))
+            while w != u:
+                row = g.indices[g.indptr[w]:g.indptr[w + 1]]
+                v = int(row[np.argmax(dist[row] == dist[w] - 1)])
+                routed.append(min(v, w) * g.n + max(v, w))
+                w = v
+    C = int(np.unique(routed, return_counts=True)[1].max())
+    return D, C, int(np.bincount(added.ravel()).max())

@@ -1,5 +1,6 @@
 """Random Dirichlet instances shared by the acceptance criteria and the
-solver tests, and the dense solve that checks the iterative solvers."""
+solver tests, the dense solve that checks the iterative solvers, and
+the gradient-norm ratios that check the augmentation certificate."""
 
 import random
 
@@ -77,3 +78,19 @@ def line_oscillation(w, R):
     puts 0 and 1 on the two ends, and on a path every p-harmonic
     function is linear, so the window's ends differ by w / R."""
     return w / R
+
+
+def certificate_factor(cert, p):
+    """The bound (1 + D^(p-1) C)^(1/p) that a certificate (D, C, A) of
+    `gradient_bound_certificate` puts on ||grad f||_{p, aug} / ||grad f||_p."""
+    D, C, _ = cert
+    return (1 + D ** (p - 1) * C) ** (1 / p)
+
+
+def gradient_ratios(g, g_aug, F, p):
+    """||grad f||_{p, aug} / ||grad f||_p for each row f of F, from each
+    graph's edge array taken once."""
+    def energy(h):
+        e = h.edges()
+        return (np.abs(F[:, e[:, 1]] - F[:, e[:, 0]]) ** p).sum(axis=1)
+    return (energy(g_aug) / energy(g)) ** (1 / p)

@@ -30,8 +30,10 @@ import numpy as np
 
 import _acceptance_log
 from _instances import (
+    certificate_factor,
     criterion_3_instances,
     dense_reference,
+    gradient_ratios,
     normal_boundary_values,
     random_connected,
 )
@@ -52,7 +54,7 @@ from lampharm.spanning import (
     builtin_spanning_line,
     check_line_rule,
     find_spanning_line,
-    verify_gradient_bound,
+    gradient_bound_certificate,
 )
 from lampharm.walks import WalkConfig, walk_series
 
@@ -197,35 +199,46 @@ def test_criterion_04_edge_deletion_monotonicity():
 
 
 def test_criterion_05_augmentation_gradient_bound():
+    # the routing certificate bounds the ratio for every f; the sampled f
+    # check the certificate against the energies it bounds
     t0 = time.perf_counter()
+    k = 3
+    ps = (1.0, 1.5, 2.0, 3.0)
     rule = builtin_spanning_line("caterpillar")
     H = caterpillar_graph()
     Hp = augment_with_line(H, rule)
-    pairs = [augment_ball(H, Hp, H.origin, 6, 3)]
+    pairs = [augment_ball(H, Hp, H.origin, 6, k)]
     L = path_graph(2)
     G0 = lamplighter(L, H, IntPoint((0,)))
     G1 = lamplighter(L, Hp, IntPoint((0,)))
-    pairs.append(augment_ball(G0, G1, G0.origin, 4, 3))
+    pairs += [augment_ball(G0, G1, G0.origin, R, k) for R in (4, 8)]
     nrng = np.random.default_rng(55)
+    certs = []
     checked = 0
     violations = 0
-    structural = True
+    share = 0.0
     for g, g_aug in pairs:
-        for _ in range(125):
-            f = nrng.normal(size=g.n)
-            for p in (1.0, 1.5, 2.0, 3.0):
-                rep = verify_gradient_bound(g, g_aug, f, p, 3)
-                checked += 1
-                structural = structural and rep.structural_ok
-                if not rep.ok:
-                    violations += 1
+        certs.append(gradient_bound_certificate(g, g_aug))
+        F = nrng.normal(size=(125, g.n))
+        for p in ps:
+            factor = certificate_factor(certs[-1], p)
+            ratios = gradient_ratios(g, g_aug, F, p)
+            checked += len(ratios)
+            violations += int((ratios > factor * (1 + 1e-12)).sum())
+            share = max(share, float(ratios.max()) / factor)
+    D, C, A = map(max, zip(*certs))
+    factors = [certificate_factor((D, C, A), p) for p in ps]
     dt = time.perf_counter() - t0
-    ok = violations == 0 and structural and checked == 1000 and dt < 30.0
+    ok = (D <= k and A <= 4 and max(factors) <= 4 * k + 1
+          and violations == 0 and checked == 1500 and dt < 30.0)
     assert _report(
         5, ok,
-        f"augmented-graph gradient norm within (4k+1) factor on "
-        f"{checked} (f, p) instances over caterpillar and lamplighter "
-        f"balls, {violations} violations, runtime {dt:.2f}s (< 30s)",
+        f"routing certificate over caterpillar R=6 and lamplighter R=4/8 "
+        f"balls: D={D} (<= k={k}), C={C}, A={A} (<= 4), factor "
+        f"{'/'.join(f'{x:.3f}' for x in factors)} at p=1/1.5/2/3 "
+        f"(<= 4k+1 = {4 * k + 1}); {checked} sampled (f, p) ratios, "
+        f"{violations} above the factor, largest {share:.1%} of it; "
+        f"runtime {dt:.2f}s (< 30s)",
     )
 
 

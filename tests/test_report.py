@@ -17,8 +17,7 @@ def _sample_report():
     rep = ExperimentReport(manifest={"command": "demo", "seed": 42})
     rep.add_series("capacity", [(4, 0.5), (8, 0.25)])
     rep.add_verdict("decay", True, "strictly decreasing", 0.25)
-    rep.add_verdict("closed_form", False, "within 1e-8", 3.0e-7,
-                    note="measured gap")
+    rep.add_verdict("closed_form", False, "within 1e-8", 3.0e-7)
     return rep
 
 
@@ -46,7 +45,8 @@ def test_json_roundtrip_and_determinism():
     assert blob["manifest"]["command"] == "demo"
     assert blob["series"]["capacity"] == [[4, 0.5], [8, 0.25]]
     assert blob["verdicts"]["decay"]["passed"] is True
-    assert blob["verdicts"]["closed_form"]["note"] == "measured gap"
+    assert blob["verdicts"]["closed_form"] == {
+        "passed": False, "threshold": "within 1e-8", "value": 3.0e-7}
 
 
 def test_csv_lists_series_rows_sorted():

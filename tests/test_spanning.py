@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from _instances import certificate_factor, gradient_ratios
 from lampharm.graphs import (
     FiniteGraph,
     ball,
@@ -23,7 +24,7 @@ from lampharm.spanning import (
     check_line_rule,
     check_spanning_line,
     find_spanning_line,
-    verify_gradient_bound,
+    gradient_bound_certificate,
 )
 
 
@@ -170,45 +171,90 @@ def test_augment_ball_adds_exactly_the_near_ball_pairs(pair):
     assert (g_aug.boundary_mask == g.boundary_mask).all()
 
 
+def _laplacian(h):
+    M = np.zeros((h.n, h.n))
+    e = h.edges()
+    M[e[:, 0], e[:, 1]] = M[e[:, 1], e[:, 0]] = -1.0
+    M[np.diag_indices(h.n)] = -M.sum(axis=1)
+    return M
+
+
+def _dense_p2_constant(g, g_aug):
+    """max ||grad f||_{2, aug} / ||grad f||_2 over non-constant f: the
+    square root of the top generalized eigenvalue of L_aug against L,
+    off the constants (g connected)."""
+    lam, V = np.linalg.eigh(_laplacian(g))
+    W = V[:, 1:] / np.sqrt(lam[1:])
+    return float(np.sqrt(np.linalg.eigvalsh(W.T @ _laplacian(g_aug) @ W)[-1]))
+
+
+def _path_with_chord():
+    """The path 0..4 and the same path plus the edge (0, 4)."""
+    path = [(i, i + 1) for i in range(4)]
+    return (FiniteGraph.from_edges(5, path, boundary=[]),
+            FiniteGraph.from_edges(5, path + [(0, 4)], boundary=[]))
+
+
 def test_gradient_bound_random_f():
     G = caterpillar_graph()
     Gp = augment_with_line(G, builtin_spanning_line("caterpillar"))
     g, g_aug = augment_ball(G, Gp, G.origin, 6, 3)
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        f = rng.normal(size=g.n)
-        for p in (1.0, 1.5, 2.0, 3.0):
-            rep = verify_gradient_bound(g, g_aug, f, p, 3)
-            assert rep.structural_ok
-            assert rep.ok
+    cert = gradient_bound_certificate(g, g_aug)
+    assert cert == (2, 1, 1)
+    F = np.random.default_rng(23).normal(size=(100, g.n))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        factor = certificate_factor(cert, p)
+        assert factor <= 4 * 3 + 1
+        assert gradient_ratios(g, g_aug, F, p).max() <= factor * (1 + 1e-12)
 
 
 def test_gradient_bound_trivial_cases():
-    G = caterpillar_graph()
-    g = ball(G, G.origin, 4)
-    rep = verify_gradient_bound(g, g, np.arange(g.n, dtype=float), 2.0, 1)
-    assert rep.ok and rep.structural_ok and rep.added_edges == 0
-    rep = verify_gradient_bound(g, g, np.ones(g.n), 2.0, 1)
-    assert rep.lhs == 0.0 and rep.ok
+    g = ball(caterpillar_graph(), IntPoint((0, 0)), 4)
+    assert gradient_bound_certificate(g, g) == (0, 0, 0)
+    assert all(certificate_factor((0, 0, 0), p) == 1.0
+               for p in (1.0, 1.5, 2.0, 3.0))
 
 
 def test_gradient_bound_flags_bad_augmentation():
-    # an added edge spanning distance 4 breaks the k=1 precondition
-    g = FiniteGraph.from_edges(
-        5, [(i, i + 1) for i in range(4)], boundary=[]
-    )
-    g_aug = FiniteGraph.from_edges(
-        5, [(i, i + 1) for i in range(4)] + [(0, 4)], boundary=[]
-    )
-    rep = verify_gradient_bound(g, g_aug, np.arange(5.0), 2.0, 1)
-    assert not rep.structural_ok
+    # the added edge (0, 4) spans distance D = 4, past k = 1
+    assert gradient_bound_certificate(*_path_with_chord()) == (4, 1, 1)
 
 
 def test_gradient_bound_index_mismatch():
     g = ball(caterpillar_graph(), IntPoint((0, 0)), 3)
     other = ball(line_graph(), IntPoint((0,)), 3)
-    with pytest.raises(ValueError):
-        verify_gradient_bound(g, other, np.zeros(g.n), 2.0, 1)
+    with pytest.raises(ValueError, match="indexing"):
+        gradient_bound_certificate(g, other)
+
+
+def test_gradient_bound_rejects_a_lost_edge():
+    g, g_aug = _path_with_chord()
+    with pytest.raises(ValueError, match="lacks the edge"):
+        gradient_bound_certificate(g_aug, g)
+
+
+def test_gradient_bound_rejects_an_edge_between_components():
+    g = FiniteGraph.from_edges(4, [(0, 1), (2, 3)], boundary=[])
+    g_aug = FiniteGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], boundary=[])
+    with pytest.raises(ValueError, match="components"):
+        gradient_bound_certificate(g, g_aug)
+
+
+def _certificate_pairs():
+    pairs = [augment_ball(H, H_aug, H.origin, R, 3)
+             for H, H_aug, R in _criterion_5_pairs()]
+    return pairs + [_path_with_chord()]
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2],
+                         ids=["caterpillar", "lamplighter", "path_chord"])
+def test_gradient_bound_certificate_is_sharp_at_p2(pair):
+    # on the path with a chord, the linear f attains sqrt(5) = sqrt(1 + 4)
+    g, g_aug = _certificate_pairs()[pair]
+    exact = _dense_p2_constant(g, g_aug)
+    factor = certificate_factor(gradient_bound_certificate(g, g_aug), 2.0)
+    assert exact <= factor * (1 + 1e-12)
+    assert abs(exact - factor) <= 1e-9
 
 
 def test_cut_monotone_under_augmentation():
@@ -229,11 +275,9 @@ def test_lamplighter_augmented_pair_bound():
     G1 = lamplighter(L, Hp, IntPoint((0,)))
     g, g_aug = augment_ball(G0, G1, G0.origin, 4, 3)
     assert len(g_aug.edges()) > len(g.edges())
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        f = rng.normal(size=g.n)
-        rep = verify_gradient_bound(g, g_aug, f, 2.0, 3)
-        assert rep.ok and rep.structural_ok
+    factor = certificate_factor(gradient_bound_certificate(g, g_aug), 2.0)
+    F = np.random.default_rng(8).normal(size=(25, g.n))
+    assert gradient_ratios(g, g_aug, F, 2.0).max() <= factor * (1 + 1e-12)
 
 
 def test_check_line_rule_expands_only_vertices_closer_than_k():
@@ -250,7 +294,7 @@ def test_check_line_rule_expands_only_vertices_closer_than_k():
     assert calls == [IntPoint((i,)) for i in range(10)]
 
 
-def test_gradient_bound_structure_is_checked_once_per_pair(monkeypatch):
+def test_gradient_bound_certificate_runs_one_bfs_per_lower_end(monkeypatch):
     from lampharm import spanning
 
     G = caterpillar_graph()
@@ -263,14 +307,16 @@ def test_gradient_bound_structure_is_checked_once_per_pair(monkeypatch):
         return graph_distances(h, src, **kw)
 
     monkeypatch.setattr(spanning, "graph_distances", counted)
-    rng = np.random.default_rng(4)
-    reports = [verify_gradient_bound(g, g_aug, rng.normal(size=g.n), p, 3)
-               for p in (1.5, 2.0, 3.0)]
-    added = [(u, v) for u, v in g_aug.edges().tolist()
-             if (u, v) not in set(map(tuple, g.edges().tolist()))]
-    assert sorted(sources) == sorted({u for u, _ in added})
-    assert all(r.structural_ok and r.added_edges == len(added)
-               for r in reports)
-    # another k is another check
-    verify_gradient_bound(g, g_aug, np.zeros(g.n), 2.0, 1)
-    assert len(sources) == 2 * len({u for u, _ in added})
+    gradient_bound_certificate(g, g_aug)
+    base = set(map(tuple, g.edges().tolist()))
+    lower = {u for u, v in g_aug.edges().tolist() if (u, v) not in base}
+    assert sorted(sources) == sorted(lower)
+
+
+def test_exact_search_spans_a_path_longer_than_the_recursion_limit():
+    n = 1501
+    g = FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)],
+                               boundary=[])
+    res = find_spanning_line(g, 1, exact=True)
+    assert res.status == "found"
+    assert check_spanning_line(g, res.line)
