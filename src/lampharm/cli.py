@@ -33,7 +33,8 @@ from .graphs import (
     path_graph,
     vertex_table_text,
 )
-from .isoperimetry import default_family, growth_exponent, iso_profile
+from .isoperimetry import (SUPERPOLYNOMIAL_RATIO, default_family,
+                           growth_exponent, iso_profile)
 from .keys import IntPoint, format_key
 from .potential import (
     DEFAULT_TOLERANCE,
@@ -104,10 +105,8 @@ def _write_report(report, args, stem):
 def _echo_verdicts(report):
     for name, v in report.verdicts.items():
         state = "pass" if v["passed"] else "FAIL"
-        print(
-            f"[{state}] {name}: value {fmt_value(v['value'])} "
-            f"vs threshold {v['threshold']}"
-        )
+        bounds = "".join(f" {k} {v[k]}" for k in ("above", "below") if k in v)
+        print(f"[{state}] {name}: value {fmt_value(v['value'])}{bounds}")
 
 
 def cmd_build_graph(args):
@@ -221,6 +220,8 @@ def cmd_isoprofile(args):
     desc, G = _load_descriptor(args.descriptor)
     budget = _resolve_budget(args)
     d_list = [float(x) for x in args.d_list.split(",")]
+    # the growth fit vets --rmax before any witness set is built
+    est = growth_exponent(G, args.rmax, budget=budget)
     family = default_family(G, args.rmax, seed=args.seed, budget=budget)
     report = ExperimentReport(
         manifest={
@@ -247,21 +248,14 @@ def cmd_isoprofile(args):
         rows.extend(
             (pt.set_size, pt.boundary_size, pt.d, pt.ratio) for pt in points
         )
-    est = growth_exponent(G, args.rmax, budget=budget)
     print(
         f"growth exponent: {fmt_value(est.exponent)} "
         f"CI [{fmt_value(est.ci_low)}, {fmt_value(est.ci_high)}] "
         f"superpolynomial: {est.superpolynomial}"
     )
-    report.add_series(
-        "growth",
-        [
-            ("exponent", est.exponent),
-            ("ci_low", est.ci_low),
-            ("ci_high", est.ci_high),
-            ("superpolynomial", est.superpolynomial),
-        ],
-    )
+    report.add_series("growth", [
+        ("exponent", est.exponent), ("ci_low", est.ci_low),
+        ("ci_high", est.ci_high), ("superpolynomial", est.superpolynomial)])
     _write_out(args, "isoprofile.csv",
                csv_text(["set_size", "boundary_size", "d", "ratio"], rows))
     _write_report(report, args, "isoprofile")
@@ -362,16 +356,7 @@ def cmd_liouville(args):
         report.add_series(
             f"{label}_baseline", list(zip(ser.checkpoints, ser.baseline))
         )
-    sa = series[0]
-    decay = sa.tv[0] - sa.tv[-1]
-    base_drift = sa.baseline[0] - sa.baseline[-1]
-    report.add_verdict(
-        "tv_decay_beats_baseline",
-        decay > base_drift,
-        "TV margin between first and last checkpoints exceeds the "
-        "split-half baseline's margin (TV sinks toward the noise floor)",
-        decay - base_drift,
-    )
+    report.add_verdict("tv_decay_beats_baseline", series[0].margin, above=0)
     for label, ser in zip("ab", series):
         rows = [(t, tv, base, args.trials) for t, tv, base
                 in zip(ser.checkpoints, ser.tv, ser.baseline)]
@@ -380,6 +365,11 @@ def cmd_liouville(args):
     _echo_verdicts(report)
     _write_report(report, args, "liouville")
     return EXIT_OK if report.all_passed else EXIT_VERDICT
+
+
+def _least_drop(pairs):
+    """The smallest fall between successive (parameter, value) pairs."""
+    return min(a[1] - b[1] for a, b in zip(pairs, pairs[1:]))
 
 
 def oscillation_suite(seed=42, budget=None):
@@ -418,25 +408,16 @@ def oscillation_suite(seed=42, budget=None):
                   f"energy {fmt_value(en)}")
         report.add_series(f"lamplighter_fixed_window_p{p:g}", fixed)
         report.add_series(f"lamplighter_half_ball_p{p:g}", moving)
-        drops = [a[1] - b[1] for a, b in zip(fixed, fixed[1:])]
-        report.add_verdict(
-            f"fixed_window_decay_p{p:g}",
-            all(d > 1e-3 for d in drops),
-            "oscillation strictly decreasing with margin 1e-3",
-            min(drops),
-        )
+        report.add_verdict(f"fixed_window_decay_p{p:g}", _least_drop(fixed),
+                           above=1e-3)
     free_vals = []
     for R in (3, 4, 5):
         osc, _ = oscillation_probe(F, F.origin, R, 2.0, budget=budget)
         free_vals.append((R, osc))
         print(f"free-group p=2 R={R}: osc {fmt_value(osc)}")
     report.add_series("free_group_half_ball_p2", free_vals)
-    report.add_verdict(
-        "free_group_plateau",
-        all(v > 0.2 for _, v in free_vals),
-        "oscillation stays above 0.2",
-        min(v for _, v in free_vals),
-    )
+    report.add_verdict("free_group_plateau", min(v for _, v in free_vals),
+                       above=0.2)
 
     def capacities(name, H):
         caps = []
@@ -450,17 +431,9 @@ def oscillation_suite(seed=42, budget=None):
     line_caps = capacities("line", line_graph())
     report.add_verdict(
         "line_capacity_closed_form",
-        all(abs(c - 2.0 / (R - 1)) <= 1e-8 for R, c in line_caps),
-        "matches 2/(R-1) within 1e-8",
-        max(abs(c - 2.0 / (R - 1)) for R, c in line_caps),
-    )
-    grid_caps = capacities("grid", grid_graph(2))
-    report.add_verdict(
-        "grid_capacity_decay",
-        grid_caps[0][1] > grid_caps[1][1] > grid_caps[2][1],
-        "strictly decreasing over R in {4, 8, 16}",
-        grid_caps[-1][1],
-    )
+        max(abs(c - 2.0 / (R - 1)) for R, c in line_caps), below=1e-8)
+    report.add_verdict("grid_capacity_decay",
+                       _least_drop(capacities("grid", grid_graph(2))), above=0)
     return report
 
 
@@ -480,51 +453,30 @@ def growth_suite(seed=42, budget=None):
     )
     est_grid = growth_exponent(grid_graph(2), 15, budget=budget)
     print(f"grid growth exponent @15: {fmt_value(est_grid.exponent)}")
-    report.add_series(
-        "grid_growth", list(zip(est_grid.radii,
-                                (float(s) for s in est_grid.sizes)))
-    )
-    report.add_series(
-        "grid_growth_ci",
-        [("ci_low", est_grid.ci_low), ("ci_high", est_grid.ci_high)],
-    )
-    report.add_verdict(
-        "grid_growth_dimension",
-        abs(est_grid.exponent - 2.0) <= 0.15,
-        "2.0 +/- 0.15",
-        est_grid.exponent,
-    )
+    report.add_series("grid_growth",
+                      list(zip(est_grid.radii, map(float, est_grid.sizes))))
+    report.add_series("grid_growth_ci", [("ci_low", est_grid.ci_low),
+                                         ("ci_high", est_grid.ci_high)])
+    report.add_verdict("grid_growth_dimension", est_grid.exponent,
+                       above=1.85, below=2.15)
     est_line = growth_exponent(line_graph(), 20, budget=budget)
     print(f"line growth exponent @20: {fmt_value(est_line.exponent)}")
-    report.add_verdict(
-        "line_growth_dimension",
-        abs(est_line.exponent - 1.0) <= 0.1,
-        "1.0 +/- 0.1",
-        est_line.exponent,
-    )
-    est_prod = growth_exponent(
-        direct_product(line_graph(), line_graph()), 15, budget=budget
-    )
+    report.add_verdict("line_growth_dimension", est_line.exponent,
+                       above=0.9, below=1.1)
+    est_prod = growth_exponent(direct_product(line_graph(), line_graph()), 15,
+                               budget=budget)
     print(f"line x line growth exponent @15: {fmt_value(est_prod.exponent)}")
-    report.add_verdict(
-        "product_additivity",
-        abs(est_prod.exponent - est_grid.exponent) <= 0.2,
-        "product exponent within 0.2 of the grid's",
-        est_prod.exponent - est_grid.exponent,
-    )
+    report.add_verdict("product_additivity",
+                       est_prod.exponent - est_grid.exponent,
+                       above=-0.2, below=0.2)
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
     est_lamp = growth_exponent(G, 8, budget=budget)
     print(f"lamplighter superpolynomial @8: {est_lamp.superpolynomial}")
-    report.add_verdict(
-        "lamplighter_superpolynomial",
-        est_lamp.superpolynomial,
-        "exponential fit beats polynomial (residual ratio < 0.5)",
-        est_lamp.superpolynomial,
-    )
+    report.add_verdict("lamplighter_superpolynomial", est_lamp.fit_ratio,
+                       below=SUPERPOLYNOMIAL_RATIO)
     # solver closed forms
-    g = FiniteGraph.from_edges(
-        11, [(i, i + 1) for i in range(10)], boundary=[0, 10]
-    )
+    g = FiniteGraph.from_edges(11, [(i, i + 1) for i in range(10)],
+                               boundary=[0, 10])
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
         sol = solve_dirichlet(
@@ -534,12 +486,7 @@ def growth_suite(seed=42, budget=None):
             worst, float(np.max(np.abs(sol.values - np.arange(11) / 10)))
         )
     print(f"path closed-form worst error: {fmt_value(worst)}")
-    report.add_verdict(
-        "path_linear_interpolation",
-        worst < 1e-8,
-        "max abs error below 1e-8 across p in {1.5, 2, 3}",
-        worst,
-    )
+    report.add_verdict("path_linear_interpolation", worst, below=1e-8)
     return report
 
 

@@ -108,6 +108,9 @@ def default_family(G, Rmax, seed=0, budget=None):
     return family
 
 
+SUPERPOLYNOMIAL_RATIO = 0.5
+
+
 @dataclass
 class GrowthEstimate:
     """Log-log growth fit over the tail window of ball radii."""
@@ -115,6 +118,7 @@ class GrowthEstimate:
     exponent: float
     ci_low: float
     ci_high: float
+    fit_ratio: float
     superpolynomial: bool
     radii: list
     sizes: list
@@ -141,9 +145,10 @@ def growth_exponent(G, Rmax, budget=None):
 
     Fits log|B_R| against log R by least squares over the tail window
     R in {max(2, Rmax//2), ..., Rmax}, where the slope has shed most of
-    the small-R transient. The flag is set when a linear fit of log|B_R|
-    against R (exponential growth) beats the polynomial fit, residual
-    ratio below 0.5.
+    the small-R transient. fit_ratio is the residual sum of squares of a
+    linear fit of log|B_R| against R (exponential growth) over the
+    polynomial fit's, inf when the latter is exact; the flag is set when
+    it is below SUPERPOLYNOMIAL_RATIO.
     """
     if Rmax < 3:
         raise ValueError(f"Rmax must be >= 3, got {Rmax}")
@@ -155,12 +160,13 @@ def growth_exponent(G, Rmax, budget=None):
     logS = np.log(tail_S)
     slope, se, ssr_poly = _ols(np.log(tail_R), logS)
     _, _, ssr_exp = _ols(tail_R, logS)
-    superpoly = ssr_exp < 0.5 * ssr_poly
+    ratio = ssr_exp / ssr_poly if ssr_poly > 0 else math.inf
     return GrowthEstimate(
         exponent=slope,
         ci_low=slope - 2 * se,
         ci_high=slope + 2 * se,
-        superpolynomial=superpoly,
+        fit_ratio=ratio,
+        superpolynomial=ratio < SUPERPOLYNOMIAL_RATIO,
         radii=[int(r) for r in tail_R],
         sizes=[int(s) for s in tail_S],
     )

@@ -1,7 +1,8 @@
 """Structured experiment reports: a manifest sufficient for exact
-reruns, named numeric series, and pass/fail verdicts that carry their
-thresholds. Serialization is deterministic (sorted keys, fixed float
-format, no timestamps) so identical runs produce identical bytes.
+reruns, named numeric series, and verdicts that compare one value
+against the bounds it must clear. Serialization is deterministic
+(sorted keys, fixed float format, no timestamps) so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ class ExperimentReport:
     """Manifest + series + verdicts for one command run.
 
     series maps a name to a list of (parameter, value) pairs; verdicts
-    map a name to a dict with passed, threshold, and value entries.
+    map a name to a dict with passed and value entries plus the bounds
+    given, `above` and/or `below`. The report alone decides a verdict:
+    it passes iff its value lies strictly above `above` and strictly
+    below `below`, so a value equal to a bound fails.
     """
 
     manifest: dict = field(default_factory=dict)
@@ -40,12 +44,14 @@ class ExperimentReport:
     def add_series(self, name, pairs):
         self.series[name] = [(p, v) for p, v in pairs]
 
-    def add_verdict(self, name, passed, threshold, value):
-        self.verdicts[name] = {
-            "passed": bool(passed),
-            "threshold": threshold,
-            "value": value,
-        }
+    def add_verdict(self, name, value, *, above=None, below=None):
+        bounds = {k: b for k, b in (("above", above), ("below", below))
+                  if b is not None}
+        if not bounds:
+            raise ValueError(f"verdict {name!r} needs a bound")
+        passed = bool((above is None or value > above)
+                      and (below is None or value < below))
+        self.verdicts[name] = {"passed": passed, "value": value, **bounds}
 
     @property
     def all_passed(self):

@@ -115,9 +115,16 @@ class SearchResult:
 def _exact_search(adj, deadline):
     """Depth-first backtracking with an explicit stack: stack[i] holds
     the candidates left for path position i, so len(stack) is always
-    len(path) + 1 and a path as long as the graph needs no recursion."""
+    len(path) + 1 and a path as long as the graph needs no recursion.
+
+    A path that strands a vertex (unvisited, with no unvisited neighbor
+    and no edge to the head) is not extended, so the next step can
+    strand only a neighbor of the old head, or at a start an isolated
+    vertex; free[u] counts u's unvisited neighbors."""
     n = len(adj)
     nbrs = [set(a) for a in adj]
+    free = [len(a) for a in adj]
+    isolated = [u for u in range(n) if not adj[u]]
     path = []
     visited = [False] * n
     for s in sorted(range(n), key=lambda v: len(adj[v])):
@@ -127,7 +134,10 @@ def _exact_search(adj, deadline):
             if v is None:
                 stack.pop()
                 if path:
-                    visited[path.pop()] = False
+                    u = path.pop()
+                    visited[u] = False
+                    for w in adj[u]:
+                        free[w] += 1
                 continue
             if visited[v]:
                 continue
@@ -135,14 +145,13 @@ def _exact_search(adj, deadline):
                 raise TimeoutError
             path.append(v)
             visited[v] = True
+            for w in adj[v]:
+                free[w] -= 1
             if len(path) == n:
                 return path
-            # prune: an unvisited vertex with no unvisited neighbor and
-            # no edge to the path head is unreachable
-            stranded = any(
-                not visited[u] and v not in nbrs[u]
-                and all(visited[w] for w in adj[u])
-                for u in range(n))
+            suspects = adj[path[-2]] if len(path) > 1 else isolated
+            stranded = any(not visited[u] and not free[u]
+                           and v not in nbrs[u] for u in suspects)
             stack.append(iter(() if stranded else adj[v]))
     return None
 

@@ -180,6 +180,13 @@ class WalkSeries:
     tv: list
     baseline: list
 
+    @property
+    def margin(self):
+        """(tv_0 - tv_last) - (base_0 - base_last): how much more the TV
+        falls than the baseline from the first to the last checkpoint."""
+        return ((self.tv[0] - self.tv[-1])
+                - (self.baseline[0] - self.baseline[-1]))
+
 
 def walk_series(G, cfg, checkpoints=None, budget=None):
     """TV and split-half baseline at each checkpoint, from one paired

@@ -268,8 +268,10 @@ def test_criterion_07_growth_exponents():
         f"grid growth exponent "
         f"{report.verdicts['grid_growth_dimension']['value']:.3f} in "
         f"2.0 +/- 0.15 (CI [{ci['ci_low']:.3f}, {ci['ci_high']:.3f}]); "
-        f"lamplighter flagged superpolynomial at Rmax=8: "
-        f"{report.verdicts['lamplighter_superpolynomial']['value']}",
+        f"lamplighter superpolynomial at Rmax=8: exponential/polynomial "
+        f"fit residual ratio "
+        f"{report.verdicts['lamplighter_superpolynomial']['value']:.3f} "
+        f"(< 0.5)",
     )
 
 
@@ -302,9 +304,7 @@ def test_criterion_09_liouville_contrast():
     free = walk_series(F, cfg_free, checkpoints=[50, 100, 200])
     dt = time.perf_counter() - t0
 
-    tv_margin = lamp.tv[0] - lamp.tv[-1]
-    base_margin = lamp.baseline[0] - lamp.baseline[-1]
-    decay_ok = tv_margin > base_margin
+    decay_ok = lamp.margin > 0
     plateau = free.tv[-1]
     plateau_ok = plateau > 0.2
     ok = decay_ok and plateau_ok and dt < 300.0
@@ -313,9 +313,9 @@ def test_criterion_09_liouville_contrast():
         9, ok,
         f"lamplighter TV {fmt(lamp.tv)} sinks toward baseline "
         f"{fmt(lamp.baseline)} at steps 50/100/200 (margin over the "
-        f"baseline's margin {tv_margin - base_margin:+.3f} > 0); free "
+        f"baseline's margin {lamp.margin:+.3f} > 0); free "
         f"group stays apart: plateau {plateau:.3f} > 0.2 (excess margin "
-        f"{(free.tv[0] - free.baseline[0]) - (free.tv[-1] - free.baseline[-1]):+.3f}); "
+        f"{free.margin:+.3f}); "
         f"runtime {dt:.0f}s (< 300s)",
     )
 

@@ -267,6 +267,17 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, text):
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
+@pytest.mark.parametrize("rmax", ["0", "1", "2"])
+def test_isoprofile_small_rmax_exits_2_before_any_output(capsys, rmax):
+    # the growth fit needs three radii; no witness line may come first
+    code = main(["isoprofile", "--descriptor", LINE, "--rmax", rmax])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "input",
+                               "detail": f"Rmax must be >= 3, got {rmax}"}
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("0 1\n\n0 1 2\n", 3),
     ("0 x\n", 1),

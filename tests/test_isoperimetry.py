@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from lampharm.graphs import (
     ball,
+    cycle_graph,
     direct_product,
     graph_distances,
     grid_graph,
@@ -131,6 +134,14 @@ def test_growth_exponent_lamplighter_superpolynomial():
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
     est = growth_exponent(G, 8)
     assert est.superpolynomial
+
+
+def test_growth_fit_ratio_is_inf_on_a_saturated_ball():
+    # every ball past the diameter is the whole cycle: log|B_R| is flat,
+    # so both fits are exact and the ratio must not divide by zero
+    est = growth_exponent(cycle_graph(5), 6)
+    assert est.fit_ratio == math.inf
+    assert not est.superpolynomial
 
 
 def test_growth_exponent_product_additivity():

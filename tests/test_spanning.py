@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lampharm.graphs import (
     line_graph,
     path_graph,
 )
+from lampharm import spanning
 from lampharm.isoperimetry import edge_boundary
 from lampharm.keys import IntPoint
 from lampharm.spanning import (
@@ -295,7 +297,6 @@ def test_check_line_rule_expands_only_vertices_closer_than_k():
 
 
 def test_gradient_bound_certificate_runs_one_bfs_per_lower_end(monkeypatch):
-    from lampharm import spanning
 
     G = caterpillar_graph()
     Gp = augment_with_line(G, builtin_spanning_line("caterpillar"))
@@ -320,3 +321,66 @@ def test_exact_search_spans_a_path_longer_than_the_recursion_limit():
     res = find_spanning_line(g, 1, exact=True)
     assert res.status == "found"
     assert check_spanning_line(g, res.line)
+
+
+def _exact_search_full_scan(adj, deadline):
+    """Reference: the exact search rescanning every vertex for a
+    stranded one after each extension, as it first shipped."""
+    n = len(adj)
+    nbrs = [set(a) for a in adj]
+    path = []
+    visited = [False] * n
+    for s in sorted(range(n), key=lambda v: len(adj[v])):
+        stack = [iter([s])]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                if path:
+                    visited[path.pop()] = False
+                continue
+            if visited[v]:
+                continue
+            if time.monotonic() > deadline:
+                raise TimeoutError
+            path.append(v)
+            visited[v] = True
+            if len(path) == n:
+                return path
+            stranded = any(
+                not visited[u] and v not in nbrs[u]
+                and all(visited[w] for w in adj[u])
+                for u in range(n))
+            stack.append(iter(() if stranded else adj[v]))
+    return None
+
+
+def test_exact_search_matches_the_full_scan_reference():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(1, 13)
+        isolated = set(rng.sample(range(n), rng.choice([0, 0, 0, 1, 2])
+                                  if n > 2 else 0))
+        density = rng.uniform(0.1, 0.6)
+        adj = [[] for _ in range(n)]
+        for u in range(n):
+            for w in range(u + 1, n):
+                if (u not in isolated and w not in isolated
+                        and rng.random() < density):
+                    adj[u].append(w)
+                    adj[w].append(u)
+        deadline = time.monotonic() + 60
+        got = spanning._exact_search(adj, deadline)
+        assert got == _exact_search_full_scan(adj, deadline)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_exact_search_spans_a_6001_vertex_path_within_its_budget():
+    n = 6001
+    g = FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)],
+                               boundary=[])
+    res = find_spanning_line(g, 1, exact=True, time_budget=5)
+    assert res.status == "found"
+    assert res.line.order == list(range(n))
