@@ -43,7 +43,6 @@ from .potential import (
 )
 from .isoperimetry import (
     GrowthEstimate,
-    IsoProfilePoint,
     default_family,
     edge_boundary,
     growth_exponent,
@@ -80,8 +79,8 @@ __all__ = [
     "annulus_capacity", "gradient", "harmonic_residual",
     "oscillation_probe", "p_energy", "residual_floor", "sign_projection",
     "solve_dirichlet",
-    "GrowthEstimate", "IsoProfilePoint", "default_family", "edge_boundary",
-    "growth_exponent", "is_d_kappa", "iso_profile", "iso_ratio",
+    "GrowthEstimate", "default_family", "edge_boundary", "growth_exponent",
+    "is_d_kappa", "iso_profile", "iso_ratio",
     "LineRule", "SearchResult", "SpanningLine",
     "augment_ball", "augment_with_line", "builtin_spanning_line",
     "check_line_rule", "check_spanning_line", "find_spanning_line",

@@ -34,7 +34,8 @@ from .graphs import (
     vertex_table_text,
 )
 from .isoperimetry import (SUPERPOLYNOMIAL_RATIO, default_family,
-                           growth_exponent, iso_profile)
+                           growth_exponent, is_d_kappa, iso_profile,
+                           iso_ratio)
 from .keys import IntPoint, format_key
 from .potential import (
     DEFAULT_TOLERANCE,
@@ -113,10 +114,12 @@ def cmd_build_graph(args):
     desc, G = _load_descriptor(args.descriptor)
     budget = _resolve_budget(args)
     R = args.radius
+    g = ball(G, G.origin, R, budget=budget)
+    # end_estimate vets R >= 1 before any line is printed
+    ends = end_estimate(g, R // 2, R)
     print(f"family: {G.name}")
     print(f"degree bound: {G.degree_bound}")
     print(f"origin: {format_key(G.origin)}")
-    g = ball(G, G.origin, R, budget=budget)
     # B_r is the first |B_r| vertices of B_R, and an edge u < v lies in
     # it iff v does
     high = g.edges()[:, 1]
@@ -125,9 +128,7 @@ def cmd_build_graph(args):
     print("R |B_R| edges")
     for r, n, m in sizes:
         print(f"{r} {n} {m}")
-    inner = max(1, R // 2)
-    ends = end_estimate(g, inner, R)
-    print(f"end estimate (r={inner}, R={R}): {ends}")
+    print(f"end estimate (r={R // 2}, R={R}): {ends}")
     _write_out(args, "ball_edges.txt", edge_list_text(g))
     _write_out(args, "ball_vertices.txt", vertex_table_text(g))
     report = ExperimentReport(
@@ -220,9 +221,13 @@ def cmd_isoprofile(args):
     desc, G = _load_descriptor(args.descriptor)
     budget = _resolve_budget(args)
     d_list = [float(x) for x in args.d_list.split(",")]
-    # the growth fit vets --rmax before any witness set is built
+    # every d meets iso_ratio's rule, and the growth fit vets --rmax,
+    # before any witness set is built or any line printed
+    for d in d_list:
+        iso_ratio(1, 1, d)
     est = growth_exponent(G, args.rmax, budget=budget)
     family = default_family(G, args.rmax, seed=args.seed, budget=budget)
+    profile = iso_profile(G, family)
     report = ExperimentReport(
         manifest={
             "command": "isoprofile",
@@ -238,16 +243,11 @@ def cmd_isoprofile(args):
     )
     rows = []
     for d in d_list:
-        points = iso_profile(G, d, family)
-        kappa = max(pt.ratio for pt in points)
-        print(f"d={d}: witness kappa lower bound {fmt_value(kappa)} "
-              f"over {len(points)} sets")
-        report.add_series(
-            f"kappa_d_{d:g}", [(pt.set_size, pt.ratio) for pt in points]
-        )
-        rows.extend(
-            (pt.set_size, pt.boundary_size, pt.d, pt.ratio) for pt in points
-        )
+        points = [(n, b, d, iso_ratio(n, b, d)) for n, b in profile]
+        print(f"d={d}: witness kappa lower bound "
+              f"{fmt_value(is_d_kappa(profile, d))} over {len(profile)} sets")
+        report.add_series(f"kappa_d_{d:g}", [(n, r) for n, _, _, r in points])
+        rows.extend(points)
     print(
         f"growth exponent: {fmt_value(est.exponent)} "
         f"CI [{fmt_value(est.ci_low)}, {fmt_value(est.ci_high)}] "

@@ -17,16 +17,6 @@ import numpy as np
 from .graphs import FiniteGraph, GraphOracle, ball, ball_sizes
 
 
-@dataclass
-class IsoProfilePoint:
-    """One witness set: size, cut size, dimension parameter, and ratio."""
-
-    set_size: int
-    boundary_size: int
-    d: float
-    ratio: float
-
-
 def edge_boundary(g, F):
     """Number of edges with exactly one endpoint in F.
 
@@ -46,30 +36,25 @@ def edge_boundary(g, F):
 
 
 def iso_ratio(set_size, boundary_size, d):
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    if not 1 <= d < math.inf:
+        raise ValueError(f"d must be finite and >= 1, got {d}")
     if boundary_size <= 0:
         raise ValueError("boundary_size must be positive")
     return set_size ** ((d - 1.0) / d) / boundary_size
 
 
-def is_d_kappa(G, d, family):
-    """Max of |F|^((d-1)/d)/|bd F| over the family: a lower bound on any
-    constant kappa for which the IS_d inequality could hold on G."""
+def iso_profile(G, family):
+    """(|F|, |boundary F|) per witness set, in family order."""
     family = [list(F) for F in family]
     if not family or not all(family):
         raise ValueError("witness family is empty or has an empty set")
-    return max(pt.ratio for pt in iso_profile(G, d, family))
+    return [(len(F), edge_boundary(G, F)) for F in family]
 
 
-def iso_profile(G, d, family):
-    """IsoProfilePoint per witness set, in family order."""
-    points = []
-    for F in family:
-        F = list(F)
-        b = edge_boundary(G, F)
-        points.append(IsoProfilePoint(len(F), b, d, iso_ratio(len(F), b, d)))
-    return points
+def is_d_kappa(profile, d):
+    """Max of |F|^((d-1)/d)/|bd F| over iso_profile(G, family): a lower
+    bound on any constant kappa for which IS_d could hold on G."""
+    return max(iso_ratio(n, b, d) for n, b in profile)
 
 
 def _bfs_grown_set(G, seed_key, target_size, rng):

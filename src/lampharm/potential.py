@@ -31,6 +31,7 @@ result carries a SolveStats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -170,6 +171,8 @@ def solve_dirichlet(prob):
             f"solve_dirichlet needs p in (1, inf), got {prob.p} "
             "(p=1 has non-unique minimizers; energy evaluation still works)"
         )
+    if math.isnan(prob.tolerance):
+        raise ValueError("tolerance must not be NaN")
     bmask = g.boundary_mask
     bidx = np.flatnonzero(bmask)
     data = prob.boundary_values

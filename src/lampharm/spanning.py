@@ -10,6 +10,7 @@ heuristic reports timeout, never nonexistence.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -197,6 +198,8 @@ def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if math.isnan(time_budget):
+        raise ValueError("time_budget must not be NaN")
     if g.n == 0:
         raise ValueError("empty graph")
     if g.n == 1:

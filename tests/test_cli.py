@@ -1,6 +1,7 @@
 """CLI tests: exit codes, subcommand output, artifact files, and
 byte-identical reruns under a fixed seed."""
 
+import dataclasses
 import json
 import os
 
@@ -249,6 +250,20 @@ LINE = '{"family": "line"}'
                  id="edge-list-with-radius"),
     pytest.param(["spanline", "--edge-list", "{file}", "--budget", "10"],
                  "0 1\n", id="edge-list-with-budget"),
+    pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "2,0.5"],
+                 None, id="d-list-below-1-after-a-good-d"),
+    pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "nan"],
+                 None, id="d-list-nan"),
+    pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "inf"],
+                 None, id="d-list-inf"),
+    pytest.param(["build-graph", "--descriptor", LINE, "-R", "0"], None,
+                 id="build-graph-radius-0"),
+    pytest.param(["solve", "--descriptor", LINE, "-R", "4", "--tolerance",
+                  "nan"], None, id="solve-tolerance-nan"),
+    pytest.param(["capacity", "--descriptor", LINE, "-r", "1", "-R", "4",
+                  "--tolerance", "nan"], None, id="capacity-tolerance-nan"),
+    pytest.param(["spanline", "--descriptor", LINE, "-R", "4",
+                  "--time-budget", "nan"], None, id="time-budget-nan"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, text):
     # exit 1 means a verdict failed or absence was proved, so bad input
@@ -264,7 +279,10 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, text):
         assert "one of the arguments" in capsys.readouterr().err
         return
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    out, err = capsys.readouterr()
+    # nothing is printed before the input is vetted
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 @pytest.mark.parametrize("rmax", ["0", "1", "2"])
@@ -276,6 +294,40 @@ def test_isoprofile_small_rmax_exits_2_before_any_output(capsys, rmax):
     assert out == ""
     assert json.loads(err) == {"error": "input",
                                "detail": f"Rmax must be >= 3, got {rmax}"}
+
+
+def test_isoprofile_oracle_calls_do_not_depend_on_the_d_list(monkeypatch,
+                                                             capsys):
+    # each witness's boundary is counted once, whatever the d-list holds
+    from lampharm import cli
+    from lampharm.descriptors import parse_descriptor
+
+    calls = []
+
+    def counted(desc):
+        G = parse_descriptor(desc)
+
+        def neighbors(v):
+            calls.append(v)
+            return G.neighbors(v)
+
+        return dataclasses.replace(G, neighbors=neighbors)
+
+    monkeypatch.setattr(cli, "parse_descriptor", counted)
+    counts = []
+    for d_list in ("2", "1,2,3"):
+        calls.clear()
+        assert main(["isoprofile", "--descriptor", LAMP, "--rmax", "6",
+                     "--d-list", d_list]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_build_graph_at_radius_1(capsys):
+    # r = R // 2 = 0: the ends of the line are the two sides of its center
+    assert main(["build-graph", "--descriptor", LINE, "--radius", "1"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "R |B_R| edges\n1 3 2\nend estimate (r=0, R=1): 2\n")
 
 
 @pytest.mark.parametrize("text, lineno", [

@@ -19,6 +19,7 @@ from lampharm.isoperimetry import (
     growth_exponent,
     is_d_kappa,
     iso_profile,
+    iso_ratio,
 )
 from lampharm.keys import IntPoint
 
@@ -61,7 +62,7 @@ def test_edge_boundary_cut_symmetry():
 def test_is_d_kappa_line_intervals():
     G = line_graph()
     fam = [[IntPoint((i,)) for i in range(n)] for n in (3, 7, 20)]
-    assert is_d_kappa(G, 1.0, fam) == pytest.approx(0.5)
+    assert is_d_kappa(iso_profile(G, fam), 1.0) == pytest.approx(0.5)
 
 
 def test_is_d_kappa_grid_boxes():
@@ -70,7 +71,7 @@ def test_is_d_kappa_grid_boxes():
         [IntPoint((i, j)) for i in range(k) for j in range(k)]
         for k in (2, 4, 7)
     ]
-    assert is_d_kappa(G, 2.0, fam) == pytest.approx(0.25)
+    assert is_d_kappa(iso_profile(G, fam), 2.0) == pytest.approx(0.25)
 
 
 def test_is_d_kappa_monotone_in_family_and_d():
@@ -80,28 +81,33 @@ def test_is_d_kappa_monotone_in_family_and_d():
         for k in (2, 4)
     ]
     bigger = fam + [[IntPoint((i, j)) for i in range(6) for j in range(6)]]
-    assert is_d_kappa(G, 2.0, fam) <= is_d_kappa(G, 2.0, bigger)
+    profile = iso_profile(G, fam)
+    assert is_d_kappa(profile, 2.0) <= is_d_kappa(iso_profile(G, bigger), 2.0)
     assert (
-        is_d_kappa(G, 1.0, fam)
-        <= is_d_kappa(G, 2.0, fam)
-        <= is_d_kappa(G, 3.0, fam)
+        is_d_kappa(profile, 1.0)
+        <= is_d_kappa(profile, 2.0)
+        <= is_d_kappa(profile, 3.0)
     )
 
 
 def test_is_d_kappa_rejects_empty():
     with pytest.raises(ValueError):
-        is_d_kappa(line_graph(), 1.0, [])
+        iso_profile(line_graph(), [])
     with pytest.raises(ValueError):
-        is_d_kappa(line_graph(), 1.0, [[]])
+        iso_profile(line_graph(), [[]])
 
 
 def test_iso_profile_points():
     G = grid_graph(2)
     fam = [[IntPoint((i, j)) for i in range(2) for j in range(2)]]
-    (pt,) = iso_profile(G, 2.0, fam)
-    assert pt.set_size == 4
-    assert pt.boundary_size == 8
-    assert pt.ratio == pytest.approx(2.0 / 8.0)
+    assert iso_profile(G, fam) == [(4, 8)]
+    assert is_d_kappa([(4, 8)], 2.0) == pytest.approx(2.0 / 8.0)
+
+
+@pytest.mark.parametrize("d", [0.5, math.nan, math.inf])
+def test_iso_ratio_rejects_a_d_is_d_cannot_take(d):
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        iso_ratio(4, 8, d)
 
 
 def test_default_family_connected_and_seeded():

@@ -178,6 +178,10 @@ def test_invalid_p_and_values_rejected():
         solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: 1.0}, p=1.0))
     with pytest.raises(ValueError, match="^non-finite boundary value at 4$"):
         solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: np.inf}))
+    # no residual is <= NaN, so the solve would run out of iterations
+    with pytest.raises(ValueError, match="tolerance must not be NaN"):
+        solve_dirichlet(DirichletProblem(g, {0: 0.0, 4: 1.0},
+                                         tolerance=np.nan))
     # the first bad index in vertex order is named, whatever the dict order
     with pytest.raises(ValueError, match="^non-finite boundary value at 0$"):
         solve_dirichlet(DirichletProblem(g, {4: np.inf, 0: np.nan}))
@@ -348,12 +352,13 @@ def test_newton_reaches_the_stop_rule(p, p_residual):
 def test_solve_stats_report_the_checked_residual(p_residual):
     g, bvals = _lamp_sign_split(6)
     for p, method in ((2.0, "cg"), (1.5, "newton"), (3.0, "newton")):
-        for tol in (1e-6, 0.0):
+        # a tolerance below the floor, negative too, runs to the floor
+        for tol in (1e-6, 0.0, -1.0):
             prob = DirichletProblem(g, bvals, p=p, tolerance=tol)
             sol = solve_dirichlet(prob)
             st = sol.stats
             assert (st.method, st.stop) == (
-                method, "tolerance" if tol else "floor")
+                method, "tolerance" if tol > 0 else "floor")
             assert st.iterations > 0
             r = p_residual(prob, sol)
             assert st.residual == pytest.approx(r, rel=1e-6, abs=1e-15)

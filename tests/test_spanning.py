@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import time
 
@@ -78,6 +79,15 @@ def test_heuristic_timeout_is_not_a_certificate():
     res = find_spanning_line(g, 1, time_budget=0.3)
     assert res.status == "timeout"
     assert res.line is None
+
+
+def test_time_budget_nan_is_rejected_and_a_negative_one_times_out():
+    # NaN compares false with every clock reading, so it never expires
+    g = ball(line_graph(), IntPoint((0,)), 4)
+    with pytest.raises(ValueError, match="time_budget must not be NaN"):
+        find_spanning_line(g, 1, exact=True, time_budget=math.nan)
+    assert find_spanning_line(g, 1, exact=True,
+                              time_budget=-1).status == "timeout"
 
 
 def test_checker_rejects_bad_lines():
