@@ -53,7 +53,6 @@ from .isoperimetry import (
 from .spanning import (
     LineRule,
     SearchResult,
-    SpanningLine,
     augment_ball,
     augment_with_line,
     builtin_spanning_line,
@@ -81,7 +80,7 @@ __all__ = [
     "solve_dirichlet",
     "GrowthEstimate", "default_family", "edge_boundary", "growth_exponent",
     "is_d_kappa", "iso_profile", "iso_ratio",
-    "LineRule", "SearchResult", "SpanningLine",
+    "LineRule", "SearchResult",
     "augment_ball", "augment_with_line", "builtin_spanning_line",
     "check_line_rule", "check_spanning_line", "find_spanning_line",
     "gradient_bound_certificate",

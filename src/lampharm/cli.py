@@ -40,6 +40,7 @@ from .keys import IntPoint, format_key
 from .potential import (
     DEFAULT_TOLERANCE,
     DirichletProblem,
+    DisconnectedInteriorError,
     NonConvergenceError,
     oscillation_probe,
     annulus_capacity,
@@ -221,10 +222,12 @@ def cmd_isoprofile(args):
     desc, G = _load_descriptor(args.descriptor)
     budget = _resolve_budget(args)
     d_list = [float(x) for x in args.d_list.split(",")]
-    # every d meets iso_ratio's rule, and the growth fit vets --rmax,
-    # before any witness set is built or any line printed
-    for d in d_list:
+    # every d meets iso_ratio's rule and appears once, and the growth
+    # fit vets --rmax, before any witness set is built or any line printed
+    for i, d in enumerate(d_list):
         iso_ratio(1, 1, d)
+        if d in d_list[:i]:
+            raise ValueError(f"--d-list repeats d={d:g}")
     est = growth_exponent(G, args.rmax, budget=budget)
     family = default_family(G, args.rmax, seed=args.seed, budget=budget)
     profile = iso_profile(G, family)
@@ -302,11 +305,10 @@ def cmd_spanline(args):
         exact=args.exact,
     )
     print(f"status: {res.status}")
-    if res.line is not None:
-        keys = [format_key(g.verts[i]) for i in res.line.order]
-        blob = {"k": res.line.k, "order": keys, "status": res.status}
-    else:
-        blob = {"k": args.k, "order": None, "status": res.status}
+    keys = None
+    if res.order is not None:
+        keys = [format_key(g.verts[i]) for i in res.order]
+    blob = {"k": args.k, "order": keys, "status": res.status}
     _write_out(args, "spanline.json",
                json.dumps(blob, indent=2, sort_keys=True) + "\n")
     if res.status == "timeout":
@@ -595,7 +597,7 @@ def main(argv=None):
         print(json.dumps({"error": "descriptor", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as e:
+    except (FileNotFoundError, ValueError, DisconnectedInteriorError) as e:
         print(json.dumps({"error": "input", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_USAGE

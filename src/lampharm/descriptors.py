@@ -32,17 +32,6 @@ from .graphs import (
 )
 from .keys import IntPoint
 
-FAMILIES = (
-    "line",
-    "cycle",
-    "path",
-    "grid",
-    "free_group",
-    "caterpillar",
-    "product",
-    "lamplighter",
-)
-
 
 class DescriptorError(ValueError):
     """Malformed graph descriptor."""
@@ -67,6 +56,27 @@ def _parse_root(value):
     raise DescriptorError(f"cannot parse root vertex {value!r}")
 
 
+def _part(desc, key):
+    return parse_descriptor(_require(desc, key, kind=dict))
+
+
+# builders in the order the unknown-family message lists them; a
+# composite parses its parts left to right, then the lamplighter root
+FAMILIES = {
+    "line": lambda desc: line_graph(),
+    "cycle": lambda desc: cycle_graph(_require(desc, "n")),
+    "path": lambda desc: path_graph(_require(desc, "n")),
+    "grid": lambda desc: grid_graph(_require(desc, "d")),
+    "free_group": lambda desc: free_group_graph(_require(desc, "rank")),
+    "caterpillar": lambda desc: caterpillar_graph(),
+    "product": lambda desc: direct_product(_part(desc, "left"),
+                                           _part(desc, "right")),
+    "lamplighter": lambda desc: lamplighter(
+        _part(desc, "lamp"), _part(desc, "space"),
+        _parse_root(desc.get("root", 0))),
+}
+
+
 def parse_descriptor(desc) -> GraphOracle:
     """Build a GraphOracle from a descriptor dict (or JSON string)."""
     if isinstance(desc, str):
@@ -77,27 +87,9 @@ def parse_descriptor(desc) -> GraphOracle:
     if not isinstance(desc, dict):
         raise DescriptorError(f"descriptor must be an object, got {type(desc)}")
     family = desc.get("family")
-    if family == "line":
-        return line_graph()
-    if family == "cycle":
-        return cycle_graph(_require(desc, "n"))
-    if family == "path":
-        return path_graph(_require(desc, "n"))
-    if family == "grid":
-        return grid_graph(_require(desc, "d"))
-    if family == "free_group":
-        return free_group_graph(_require(desc, "rank"))
-    if family == "caterpillar":
-        return caterpillar_graph()
-    if family == "product":
-        left = parse_descriptor(_require(desc, "left", kind=dict))
-        right = parse_descriptor(_require(desc, "right", kind=dict))
-        return direct_product(left, right)
-    if family == "lamplighter":
-        lamp = parse_descriptor(_require(desc, "lamp", kind=dict))
-        space = parse_descriptor(_require(desc, "space", kind=dict))
-        root = _parse_root(desc.get("root", 0))
-        return lamplighter(lamp, space, root)
-    raise DescriptorError(
-        f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
-    )
+    # an unhashable family (a list, say) is just another unknown name
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise DescriptorError(
+            f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
+        )
+    return FAMILIES[family](desc)

@@ -352,16 +352,7 @@ def k_fuzz(G, k):
         seen.remove(v)
         return sorted(seen)
 
-    bound = None
-    D = G.degree_bound
-    if D is not None:
-        if D <= 1:
-            bound = D
-        elif D == 2:
-            bound = 2 * k
-        else:
-            bound = D * ((D - 1) ** k - 1) // (D - 2)
-    return GraphOracle(nbrs, G.origin, degree_bound=bound, name=f"{G.name}^[{k}]")
+    return GraphOracle(nbrs, G.origin, name=f"{G.name}^[{k}]")
 
 
 # ---------------------------------------------------------------------------

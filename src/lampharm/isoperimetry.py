@@ -14,25 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, GraphOracle, ball, ball_sizes
+from .graphs import GraphOracle, ball, ball_sizes
 
 
-def edge_boundary(g, F):
-    """Number of edges with exactly one endpoint in F.
-
-    For a GraphOracle, F is a collection of vertex keys and all oracle
-    edges at F count. For a FiniteGraph, F is a collection of vertex
-    indices and only materialized edges count (cut edges leaving the
-    materialized region are not represented there).
-    """
-    if isinstance(g, GraphOracle):
-        Fset = set(F)
-        return sum(w not in Fset for v in Fset for w in g.neighbors(v))
-    if isinstance(g, FiniteGraph):
-        inside = np.zeros(g.n, dtype=bool)
-        inside[list(F)] = True
-        return int(np.count_nonzero(inside[g.row_owners()] & ~inside[g.indices]))
-    raise TypeError(f"expected GraphOracle or FiniteGraph, got {type(g)!r}")
+def edge_boundary(G, F):
+    """Number of edges of the GraphOracle G with exactly one endpoint in
+    the collection F of vertex keys."""
+    if not isinstance(G, GraphOracle):
+        raise TypeError(f"expected GraphOracle, got {type(G)!r}")
+    Fset = set(F)
+    return sum(w not in Fset for v in Fset for w in G.neighbors(v))
 
 
 def iso_ratio(set_size, boundary_size, d):
@@ -48,7 +39,12 @@ def iso_profile(G, family):
     family = [list(F) for F in family]
     if not family or not all(family):
         raise ValueError("witness family is empty or has an empty set")
-    return [(len(F), edge_boundary(G, F)) for F in family]
+    profile = [(len(F), edge_boundary(G, F)) for F in family]
+    for n, b in profile:
+        if not b:
+            raise ValueError(f"a witness set of {n} vertices has an empty "
+                             f"edge boundary: it covers a finite graph")
+    return profile
 
 
 def is_d_kappa(profile, d):

@@ -552,9 +552,9 @@ def oscillation_probe(G, center, R, p, budget=None,
     quantity that decays when finite-energy harmonic functions are
     constant.
     """
-    g = ball(G, center, R, budget=budget)
-    sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p))
     rin = R // 2 if inner_radius is None else inner_radius
     if not 0 <= rin <= R:
         raise ValueError(f"inner radius {rin} outside [0, {R}]")
+    g = ball(G, center, R, budget=budget)
+    sol = solve_dirichlet(DirichletProblem(g, split_values(g), p=p))
     return window_oscillation(g, sol, rin), p_energy(sol, g, p)

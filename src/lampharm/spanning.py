@@ -32,14 +32,6 @@ DEFAULT_TIME_BUDGET = 10.0
 
 
 @dataclass
-class SpanningLine:
-    """Explicit Hamiltonian order on a finite graph, certified for fuzz k."""
-
-    order: list
-    k: int
-
-
-@dataclass
 class LineRule:
     """Two-way enumeration rule for an infinite family: enumerate_fn maps
     every integer position to a vertex key; position_fn inverts it."""
@@ -57,13 +49,13 @@ class LineRule:
         return [self.enumerate_fn(i - 1), self.enumerate_fn(i + 1)]
 
 
-def check_spanning_line(g, line):
+def check_spanning_line(g, order, k):
     """Independent verification of the two invariants on a finite graph:
     each vertex appears exactly once, consecutive base distance <= k."""
-    order = list(line.order)
+    order = list(order)
     if sorted(order) != list(range(g.n)):
         return False
-    return all(graph_distances(g, u, cutoff=line.k)[v] >= 0
+    return all(graph_distances(g, u, cutoff=k)[v] >= 0
                for u, v in zip(order, order[1:]))
 
 
@@ -105,12 +97,12 @@ def builtin_spanning_line(family):
 
 @dataclass
 class SearchResult:
-    """Outcome of find_spanning_line: status is 'found', 'proved_absent'
-    (exact search exhausted), or 'timeout' (search failure, not a
-    nonexistence certificate)."""
+    """Outcome of find_spanning_line: status is 'found', with the vertex
+    order of the line, 'proved_absent' (exact search exhausted), or
+    'timeout' (search failure, not a nonexistence certificate)."""
 
     status: str
-    line: Optional[SpanningLine] = None
+    order: Optional[list] = None
 
 
 def _exact_search(adj, deadline):
@@ -159,7 +151,6 @@ def _exact_search(adj, deadline):
 
 def _posa_search(adj, rng, deadline):
     n = len(adj)
-    nbrs = [set(a) for a in adj]
     while time.monotonic() < deadline:
         start = rng.randrange(n)
         path = [start]
@@ -203,7 +194,7 @@ def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0,
     if g.n == 0:
         raise ValueError("empty graph")
     if g.n == 1:
-        return SearchResult("found", SpanningLine([0], k))
+        return SearchResult("found", [0])
     adj = [np.flatnonzero(graph_distances(g, s, cutoff=k) > 0).tolist()
            for s in range(g.n)]
     deadline = time.monotonic() + time_budget
@@ -214,11 +205,11 @@ def find_spanning_line(g, k, time_budget=DEFAULT_TIME_BUDGET, seed=0,
             return SearchResult("timeout")
         if path is None:
             return SearchResult("proved_absent")
-        return SearchResult("found", SpanningLine(path, k))
+        return SearchResult("found", path)
     path = _posa_search(adj, random.Random(seed), deadline)
     if path is None:
         return SearchResult("timeout")
-    return SearchResult("found", SpanningLine(path, k))
+    return SearchResult("found", path)
 
 
 def augment_with_line(H, rule):

@@ -1,6 +1,7 @@
 """Random Dirichlet instances shared by the acceptance criteria and the
-solver tests, the dense solve that checks the iterative solvers, and
-the gradient-norm ratios that check the augmentation certificate."""
+solver tests, the dense solve that checks the iterative solvers, the
+gradient-norm ratios that check the augmentation certificate, and the
+cut count of a materialized ball."""
 
 import random
 
@@ -94,3 +95,12 @@ def gradient_ratios(g, g_aug, F, p):
         e = h.edges()
         return (np.abs(F[:, e[:, 1]] - F[:, e[:, 0]]) ** p).sum(axis=1)
     return (energy(g_aug) / energy(g)) ** (1 / p)
+
+
+def cut_size(g, F):
+    """The number of edges of the finite graph g with exactly one end in
+    the vertex index set F, from g's edge array."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(F)] = True
+    e = g.edges()
+    return int(np.count_nonzero(inside[e[:, 0]] != inside[e[:, 1]]))

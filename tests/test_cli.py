@@ -264,6 +264,11 @@ LINE = '{"family": "line"}'
                   "--tolerance", "nan"], None, id="capacity-tolerance-nan"),
     pytest.param(["spanline", "--descriptor", LINE, "-R", "4",
                   "--time-budget", "nan"], None, id="time-budget-nan"),
+    # B_4 of the 7-cycle is the whole cycle, so it has no boundary
+    pytest.param(["solve", "--descriptor", '{"family": "cycle", "n": 7}',
+                  "-R", "4"], None, id="solve-saturated-ball"),
+    pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "2,2.0"],
+                 None, id="d-list-repeated"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, text):
     # exit 1 means a verdict failed or absence was proved, so bad input

@@ -306,6 +306,34 @@ def test_descriptor_errors():
         parse_descriptor({"family": "cycle", "n": "five"})
 
 
+_KNOWN = ("known families: line, cycle, path, grid, free_group, "
+          "caterpillar, product, lamplighter")
+_PATH2 = {"family": "path", "n": 2}
+
+
+@pytest.mark.parametrize("desc, message", [
+    ('{"family":', "descriptor is not valid JSON: Expecting value: "
+                   "line 1 column 11 (char 10)"),
+    ("[1]", "descriptor must be an object, got <class 'list'>"),
+    ({"family": "moebius"}, f"unknown family 'moebius'; {_KNOWN}"),
+    ({"family": ["line"]}, f"unknown family ['line']; {_KNOWN}"),
+    ({"family": "lamplighter", "lamp": _PATH2, "space": {"family": "line"},
+      "root": "x"}, "cannot parse root vertex 'x'"),
+    # parts parse left to right, then the root
+    ({"family": "lamplighter", "space": {"family": "moebius"}, "root": "x"},
+     "is missing 'lamp'"),
+    ({"family": "lamplighter", "lamp": _PATH2, "space": {"family": "moebius"},
+      "root": "x"}, f"unknown family 'moebius'; {_KNOWN}"),
+    ({"family": "product", "right": {"family": "moebius"}},
+     "is missing 'left'"),
+], ids=["invalid-json", "not-an-object", "unknown", "unhashable-family",
+        "bad-root", "lamp-first", "space-before-root", "left-first"])
+def test_descriptor_error_messages(desc, message):
+    with pytest.raises(DescriptorError) as e:
+        parse_descriptor(desc)
+    assert str(e.value).endswith(message)
+
+
 def test_regular_step_function_enumerates_exactly_the_neighbors():
     """Families advertising a constant degree and a single-neighbor step
     function must enumerate, as a set, exactly the sorted neighbor list,

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
+from _instances import cut_size
 from lampharm.graphs import (
     ball,
     cycle_graph,
     direct_product,
-    graph_distances,
     grid_graph,
     lamplighter,
     line_graph,
@@ -47,16 +47,21 @@ def test_edge_boundary_finite_graph_matches_oracle():
     b2 = ball(G, G.origin, 2)
     b4 = ball(G, G.origin, 4)
     idx = [b4.verts.index(v) for v in b2.verts]
-    assert edge_boundary(b4, idx) == edge_boundary(G, b2.verts)
+    assert cut_size(b4, idx) == edge_boundary(G, b2.verts)
 
 
-def test_edge_boundary_cut_symmetry():
-    G = grid_graph(2)
-    g = ball(G, IntPoint((0, 0)), 4)
-    dist = graph_distances(g, 0)
-    F = [i for i in range(g.n) if dist[i] <= 2]
-    comp = [i for i in range(g.n) if i not in set(F)]
-    assert edge_boundary(g, F) == edge_boundary(g, comp)
+def test_edge_boundary_takes_only_an_oracle():
+    g = ball(grid_graph(2), IntPoint((0, 0)), 2)
+    with pytest.raises(TypeError, match="expected GraphOracle"):
+        edge_boundary(g, [0])
+
+
+def test_iso_profile_names_a_witness_that_covers_a_finite_graph():
+    G = cycle_graph(5)
+    fam = [[IntPoint((0,))], ball(G, G.origin, 2).verts]
+    with pytest.raises(ValueError, match="witness set of 5 vertices has an "
+                       "empty edge boundary: it covers a finite graph"):
+        iso_profile(G, fam)
 
 
 def test_is_d_kappa_line_intervals():

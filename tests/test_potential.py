@@ -248,6 +248,20 @@ def test_annulus_capacity_argument_validation():
         annulus_capacity(line_graph(), IntPoint((0,)), 3, 3, p=2.0)
 
 
+@pytest.mark.parametrize("inner_radius", [-1, 6])
+def test_oscillation_probe_vets_its_window_before_any_solve(monkeypatch,
+                                                            inner_radius):
+    def unreachable(*args, **kw):
+        raise AssertionError("called before the window was vetted")
+
+    monkeypatch.setattr(potential, "ball", unreachable)
+    monkeypatch.setattr(potential, "solve_dirichlet", unreachable)
+    with pytest.raises(ValueError,
+                       match=rf"inner radius {inner_radius} outside \[0, 5\]"):
+        oscillation_probe(line_graph(), IntPoint((0,)), 5, 2.0,
+                          inner_radius=inner_radius)
+
+
 def test_oscillation_probe_line():
     # the harmonic extension of the sign split on the line is linear, so
     # the inner half-ball sees about half the oscillation

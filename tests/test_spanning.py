@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from _instances import certificate_factor, gradient_ratios
+from _instances import certificate_factor, cut_size, gradient_ratios
 from lampharm.graphs import (
     FiniteGraph,
     ball,
@@ -17,10 +17,8 @@ from lampharm.graphs import (
     path_graph,
 )
 from lampharm import spanning
-from lampharm.isoperimetry import edge_boundary
 from lampharm.keys import IntPoint
 from lampharm.spanning import (
-    SpanningLine,
     augment_ball,
     augment_with_line,
     builtin_spanning_line,
@@ -35,7 +33,7 @@ def test_path_graph_is_its_own_line():
     g = FiniteGraph.from_edges(6, [(i, i + 1) for i in range(5)], boundary=[])
     res = find_spanning_line(g, 1)
     assert res.status == "found"
-    assert check_spanning_line(g, res.line)
+    assert check_spanning_line(g, res.order, 1)
 
 
 def test_star_proved_absent_at_k1_found_at_k2():
@@ -43,7 +41,7 @@ def test_star_proved_absent_at_k1_found_at_k2():
     assert find_spanning_line(star, 1).status == "proved_absent"
     res = find_spanning_line(star, 2)
     assert res.status == "found"
-    assert check_spanning_line(star, res.line)
+    assert check_spanning_line(star, res.order, 2)
 
 
 def test_exact_search_on_random_graphs_passes_checker():
@@ -58,7 +56,7 @@ def test_exact_search_on_random_graphs_passes_checker():
         g = FiniteGraph.from_edges(n, sorted(set(edges)), boundary=[])
         res = find_spanning_line(g, 2)
         if res.status == "found":
-            assert check_spanning_line(g, res.line)
+            assert check_spanning_line(g, res.order, 2)
 
 
 def test_heuristic_on_larger_cycle():
@@ -68,7 +66,7 @@ def test_heuristic_on_larger_cycle():
     )
     res = find_spanning_line(g, 1, time_budget=5.0)
     assert res.status == "found"
-    assert check_spanning_line(g, res.line)
+    assert check_spanning_line(g, res.order, 1)
 
 
 def test_heuristic_timeout_is_not_a_certificate():
@@ -78,7 +76,7 @@ def test_heuristic_timeout_is_not_a_certificate():
     g = FiniteGraph.from_edges(32, edges, boundary=[])
     res = find_spanning_line(g, 1, time_budget=0.3)
     assert res.status == "timeout"
-    assert res.line is None
+    assert res.order is None
 
 
 def test_time_budget_nan_is_rejected_and_a_negative_one_times_out():
@@ -90,11 +88,25 @@ def test_time_budget_nan_is_rejected_and_a_negative_one_times_out():
                               time_budget=-1).status == "timeout"
 
 
+def test_search_rejects_k_below_1_and_an_empty_graph():
+    g = FiniteGraph.from_edges(2, [(0, 1)], boundary=[])
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        find_spanning_line(g, 0)
+    with pytest.raises(ValueError, match="empty graph"):
+        find_spanning_line(FiniteGraph.from_edges(0, [], boundary=[]), 1)
+
+
+def test_one_vertex_is_found_even_with_no_time():
+    g = FiniteGraph.from_edges(1, [], boundary=[])
+    res = find_spanning_line(g, 1, exact=True, time_budget=-1)
+    assert (res.status, res.order) == ("found", [0])
+
+
 def test_checker_rejects_bad_lines():
     g = FiniteGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], boundary=[])
-    assert not check_spanning_line(g, SpanningLine([0, 1, 2], 1))
-    assert not check_spanning_line(g, SpanningLine([0, 2, 1, 3], 1))
-    assert check_spanning_line(g, SpanningLine([0, 2, 1, 3], 2))
+    assert not check_spanning_line(g, [0, 1, 2], 1)
+    assert not check_spanning_line(g, [0, 2, 1, 3], 1)
+    assert check_spanning_line(g, [0, 2, 1, 3], 2)
 
 
 def test_builtin_line_rule():
@@ -276,7 +288,7 @@ def test_cut_monotone_under_augmentation():
     rng = random.Random(4)
     for _ in range(20):
         F = rng.sample(range(g.n), rng.randrange(1, g.n))
-        assert edge_boundary(g_aug, F) >= edge_boundary(g, F)
+        assert cut_size(g_aug, F) >= cut_size(g, F)
 
 
 def test_lamplighter_augmented_pair_bound():
@@ -330,7 +342,7 @@ def test_exact_search_spans_a_path_longer_than_the_recursion_limit():
                                boundary=[])
     res = find_spanning_line(g, 1, exact=True)
     assert res.status == "found"
-    assert check_spanning_line(g, res.line)
+    assert check_spanning_line(g, res.order, 1)
 
 
 def _exact_search_full_scan(adj, deadline):
@@ -393,4 +405,4 @@ def test_exact_search_spans_a_6001_vertex_path_within_its_budget():
                                boundary=[])
     res = find_spanning_line(g, 1, exact=True, time_budget=5)
     assert res.status == "found"
-    assert res.line.order == list(range(n))
+    assert res.order == list(range(n))
