@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .descriptors import DescriptorError, parse_descriptor
+from .descriptors import DescriptorError, descriptor_json, parse_descriptor
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
@@ -78,11 +78,11 @@ def _resolve_budget(args):
 
 def _load_descriptor(text):
     """Descriptor argument: inline JSON (starts with '{') or a file path."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return json.loads(stripped), parse_descriptor(stripped)
-    with open(text) as fh:
-        desc = json.load(fh)
+    source = text.strip()
+    if not source.startswith("{"):
+        with open(text) as fh:
+            source = fh.read()
+    desc = descriptor_json(source)
     return desc, parse_descriptor(desc)
 
 

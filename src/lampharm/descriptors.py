@@ -77,13 +77,18 @@ FAMILIES = {
 }
 
 
+def descriptor_json(text):
+    """The JSON value of a descriptor's text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DescriptorError(f"descriptor is not valid JSON: {e}")
+
+
 def parse_descriptor(desc) -> GraphOracle:
     """Build a GraphOracle from a descriptor dict (or JSON string)."""
     if isinstance(desc, str):
-        try:
-            desc = json.loads(desc)
-        except json.JSONDecodeError as e:
-            raise DescriptorError(f"descriptor is not valid JSON: {e}")
+        desc = descriptor_json(desc)
     if not isinstance(desc, dict):
         raise DescriptorError(f"descriptor must be an object, got {type(desc)}")
     family = desc.get("family")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -104,17 +105,16 @@ def cycle_graph(n):
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
 
+    def step(v, i):
+        return _raw_point(((v.coords[0] + (1 if i else -1)) % n,))
+
     def nbrs(v):
         if not isinstance(v, IntPoint) or len(v.coords) != 1:
             raise InvalidVertexError(f"not a cycle vertex: {v!r}")
         (x,) = v.coords
         if not 0 <= x < n:
             raise InvalidVertexError(f"cycle({n}) has no vertex {x}")
-        return sorted({_raw_point(((x - 1) % n,)),
-                       _raw_point(((x + 1) % n,))})
-
-    def step(v, i):
-        return _raw_point(((v.coords[0] + (1 if i else -1)) % n,))
+        return sorted([step(v, 0), step(v, 1)])
 
     return GraphOracle(
         nbrs, IntPoint((0,)), degree_bound=2, name=f"cycle({n})",
@@ -155,13 +155,7 @@ def grid_graph(d):
     def nbrs(v):
         if not isinstance(v, IntPoint) or len(v.coords) != d:
             raise InvalidVertexError(f"not a {d}-dim grid vertex: {v!r}")
-        out = []
-        for i in range(d):
-            for s in (-1, 1):
-                c = list(v.coords)
-                c[i] += s
-                out.append(_raw_point(tuple(c)))
-        return sorted(out)
+        return sorted([_grid_step(v, i) for i in range(2 * d)])
 
     return GraphOracle(
         nbrs, IntPoint((0,) * d), degree_bound=2 * d, name=f"grid({d})",
@@ -207,19 +201,19 @@ def free_group_graph(rank):
         raise ValueError(f"free group needs rank >= 1, got {rank}")
     letters = [j for r in range(1, rank + 1) for j in (r, -r)]
 
-    def nbrs(v):
-        if not isinstance(v, WordKey):
-            raise InvalidVertexError(f"not a free-group vertex: {v!r}")
-        if any(abs(a) > rank for a in v.letters):
-            raise InvalidVertexError(f"letter out of range for rank {rank}")
-        return sorted(v.append(a) for a in letters)
-
     def step(v, i):
         a = letters[i]
         w = v.letters
         if w and w[-1] == -a:
             return _raw_word(w[:-1])
         return _raw_word(w + (a,))
+
+    def nbrs(v):
+        if not isinstance(v, WordKey):
+            raise InvalidVertexError(f"not a free-group vertex: {v!r}")
+        if any(abs(a) > rank for a in v.letters):
+            raise InvalidVertexError(f"letter out of range for rank {rank}")
+        return sorted([step(v, i) for i in range(2 * rank)])
 
     return GraphOracle(
         nbrs, WordKey(()), degree_bound=2 * rank, name=f"free({rank})",
@@ -255,7 +249,7 @@ def lamplighter(L, H, root_o):
             raise InvalidVertexError(f"not a lamplighter vertex: {v!r}")
         out = []
         for x2 in H.neighbors(v.base):
-            out.append(LampKey(x2, v.lamps))
+            out.append(_raw_lamp(x2, v.lamps))
         cur = v.lamp_at(v.base, root_o)
         for l2 in L.neighbors(cur):
             out.append(v.with_lamp(v.base, l2, root_o))
@@ -272,7 +266,7 @@ def lamplighter(L, H, root_o):
 
         def step(v, i):
             if i < hr:
-                return _raw_lamp(h_step(v.base, i), v.lamps, v.canon[2])
+                return _raw_lamp(h_step(v.base, i), v.lamps)
             cur = v.lamp_at(v.base, root_o)
             return v.with_lamp(v.base, l_step(cur, i - hr), root_o)
 
@@ -594,15 +588,13 @@ class _LampLineFrame(WalkFrame):
         point = {x: _raw_point((x,)) for x in set(pos).union(sites)}
         lit = self.lit
         entry = [(point[x], lit) for x in sites]
-        canon = [(point[x].canon, lit.canon) for x in sites]
         slot = slot.tolist()
         ends = np.searchsorted(owner, np.arange(1, len(rows) + 1)).tolist()
         out = []
         a = 0
         for x, b in zip(pos, ends):
             mine = slot[a:b]
-            out.append(_raw_lamp(point[x], tuple([entry[j] for j in mine]),
-                                 tuple([canon[j] for j in mine])))
+            out.append(_raw_lamp(point[x], tuple([entry[j] for j in mine])))
             a = b
         return out
 
@@ -756,7 +748,9 @@ class FiniteGraph:
     @classmethod
     def from_edges(cls, n, edges, boundary=(), verts=None):
         """Build directly from an undirected edge list (test/CLI input).
-        Self-loops are rejected; duplicates collapse."""
+        Duplicate edges collapse. A self-loop, an edge or boundary index
+        outside range(n), or a `verts` list not of length n raises
+        ValueError; a boundary index that is not an integer, TypeError."""
         e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
         if bad.any():
@@ -769,12 +763,19 @@ class FiniteGraph:
         u, v = np.divmod(np.unique(both[:, 0] * n + both[:, 1]), max(n, 1))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+        b = np.array([operator.index(x) for x in boundary], dtype=np.int64)
+        bad = (b < 0) | (b >= n)
+        if bad.any():
+            raise ValueError(f"boundary vertex {b[np.argmax(bad)]} "
+                             f"out of range")
         mask = np.zeros(n, dtype=bool)
-        for b in boundary:
-            mask[b] = True
+        mask[b] = True
         if verts is None:
             verts = [IntPoint((i,)) for i in range(n)]
-        return cls(list(verts), indptr, v, mask)
+        verts = list(verts)
+        if len(verts) != n:
+            raise ValueError(f"{len(verts)} vertex keys for {n} vertices")
+        return cls(verts, indptr, v, mask)
 
 
 def ball(G, center, R, budget=None):

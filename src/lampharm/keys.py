@@ -8,74 +8,65 @@ Every vertex of every shipped graph family is one of four key variants:
                the configuration stores only lamps that differ from the root
   PairKey   -- ordered pairs for direct products
 
-Keys are immutable, hashable, and totally ordered through a canonical nested
-tuple, so two keys compare equal iff they denote the same vertex and sorted
-neighbor lists come out identical on every materialization.
+A key is a tuple whose items are its canonical form: a one-letter variant
+tag, then its fields, with nested keys as items.
+
+  IntPoint  ("i", coords)
+  WordKey   ("w", letters)
+  LampKey   ("l", base, ((position, state), ...))
+  PairKey   ("p", left, right)
+
+So keys are immutable, and they compare, order and hash exactly as that
+nested tuple: two keys are equal iff they denote the same vertex, and
+sorted neighbor lists come out identical on every materialization. A
+plain tuple of the same shape equals a key, but only a key is a vertex.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 
-class VertexKey:
-    """Base class; concrete variants define `canon`, a nested tuple that is
-    the single source of truth for equality, hashing and ordering."""
+_new = tuple.__new__
 
-    __slots__ = ("canon", "_hash")
 
-    canon: tuple
-    _hash: int
+class VertexKey(tuple):
+    """Base class; a concrete variant is the tuple of its tag and fields."""
 
-    def __eq__(self, other):
-        return isinstance(other, VertexKey) and self.canon == other.canon
-
-    def __lt__(self, other):
-        return self.canon < other.canon
-
-    # a > b and a >= b reflect to b < a and b <= a
-    def __le__(self, other):
-        return self.canon <= other.canon
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self):
         return f"{type(self).__name__}({format_key(self)})"
+
+    # the variants' validating __new__ take fields, not items
+    def __reduce__(self):
+        return _new, (type(self), tuple(self))
 
 
 class IntPoint(VertexKey):
     """A point of an integer lattice (or path/cycle/caterpillar vertex)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
+    coords = property(itemgetter(1))
 
-    def __init__(self, coords):
-        coords = tuple(int(c) for c in coords)
-        self.coords = coords
-        self.canon = ("i", coords)
-        self._hash = hash(self.canon)
+    def __new__(cls, coords):
+        return _new(cls, ("i", tuple(int(c) for c in coords)))
 
 
 class WordKey(VertexKey):
     """A reduced word in a free group; letter j>0 is generator j, -j its
     inverse. The empty word is the identity."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
+    letters = property(itemgetter(1))
 
-    def __init__(self, letters=()):
+    def __new__(cls, letters=()):
         letters = tuple(int(a) for a in letters)
         for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError(f"word {letters} is not reduced")
         if any(a == 0 for a in letters):
             raise ValueError("letter 0 is not a generator")
-        self.letters = letters
-        self.canon = ("w", letters)
-        self._hash = hash(self.canon)
-
-    def append(self, letter):
-        """Right-multiply by one generator, reducing if it cancels."""
-        if self.letters and self.letters[-1] == -letter:
-            return WordKey(self.letters[:-1])
-        return WordKey(self.letters + (letter,))
+        return _new(cls, ("w", letters))
 
 
 class LampKey(VertexKey):
@@ -87,25 +78,19 @@ class LampKey(VertexKey):
     canonicalize arbitrary input.
     """
 
-    __slots__ = ("base", "lamps")
+    __slots__ = ()
+    base = property(itemgetter(1))
+    lamps = property(itemgetter(2))
 
-    def __init__(self, base, lamps=()):
-        self.base = base
-        self.lamps = tuple(lamps)
-        self.canon = (
-            "l",
-            base.canon,
-            tuple((h.canon, l.canon) for h, l in self.lamps),
-        )
-        self._hash = hash(self.canon)
+    def __new__(cls, base, lamps=()):
+        return _new(cls, ("l", base, tuple((h, l) for h, l in lamps)))
 
     @classmethod
     def make(cls, base, lamps, root):
         """Canonicalize: drop entries at the root state, sort by base key.
         `lamps` is a mapping or an iterable of (position, state) pairs."""
         items = lamps.items() if isinstance(lamps, dict) else lamps
-        entries = [(h, l) for h, l in items if l != root]
-        entries.sort(key=lambda e: e[0].canon)
+        entries = sorted((h, l) for h, l in items if l != root)
         for (h1, _), (h2, _) in zip(entries, entries[1:]):
             if h1 == h2:
                 raise ValueError(f"duplicate lamp entry at {h1!r}")
@@ -123,18 +108,25 @@ class LampKey(VertexKey):
         entries = [(h, l) for h, l in self.lamps if h != pos]
         if new_lamp != root:
             entries.append((pos, new_lamp))
-            entries.sort(key=lambda e: e[0].canon)
-        return LampKey(self.base, entries)
+            entries.sort()
+        return _raw_lamp(self.base, tuple(entries))
+
+
+class PairKey(VertexKey):
+    """Vertex of a direct product of two graphs."""
+
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left, right):
+        return _new(cls, ("p", left, right))
 
 
 def _raw_point(coords):
     """Construct an IntPoint from a tuple KNOWN to hold Python ints,
     skipping conversion. Same caveat as _raw_word."""
-    p = IntPoint.__new__(IntPoint)
-    p.coords = coords
-    p.canon = ("i", coords)
-    p._hash = hash(p.canon)
-    return p
+    return _new(IntPoint, ("i", coords))
 
 
 def _raw_word(letters):
@@ -142,35 +134,13 @@ def _raw_word(letters):
     skipping validation. Only for graph step functions whose output is
     reduced by construction; property tests compare them against the
     validating path."""
-    w = WordKey.__new__(WordKey)
-    w.letters = letters
-    w.canon = ("w", letters)
-    w._hash = hash(w.canon)
-    return w
+    return _new(WordKey, ("w", letters))
 
 
-def _raw_lamp(base, lamps, lamps_canon):
-    """Construct a LampKey from an already-canonical lamp tuple and its
-    precomputed canon part (reused from an existing key on moves that do
-    not touch the lamps). Same caveat as _raw_word."""
-    k = LampKey.__new__(LampKey)
-    k.base = base
-    k.lamps = lamps
-    k.canon = ("l", base.canon, lamps_canon)
-    k._hash = hash(k.canon)
-    return k
-
-
-class PairKey(VertexKey):
-    """Vertex of a direct product of two graphs."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.canon = ("p", left.canon, right.canon)
-        self._hash = hash(self.canon)
+def _raw_lamp(base, lamps):
+    """Construct a LampKey from a lamp tuple KNOWN to be canonical (sorted
+    (position, state) pairs, no root states). Same caveat as _raw_word."""
+    return _new(LampKey, ("l", base, lamps))
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"

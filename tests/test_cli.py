@@ -33,6 +33,22 @@ def test_unknown_family_exits_2(capsys):
     assert "descriptor" in err
 
 
+@pytest.mark.parametrize("in_file", [False, True], ids=["inline", "file"])
+def test_malformed_descriptor_json_is_a_descriptor_error(tmp_path, capsys,
+                                                         in_file):
+    text = '{"family": line}'
+    if in_file:
+        (tmp_path / "bad.json").write_text(text)
+        text = str(tmp_path / "bad.json")
+    code = main(["build-graph", "--descriptor", text, "-R", "2"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "descriptor",
+        "detail": "descriptor is not valid JSON: Expecting value: "
+                  "line 1 column 12 (char 11)",
+    }
+
+
 def test_missing_descriptor_file_exits_2(tmp_path, capsys):
     code = main(["build-graph", "--descriptor",
                  str(tmp_path / "nope.json"), "--radius", "2"])

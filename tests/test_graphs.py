@@ -64,6 +64,21 @@ def test_free_group_neighbors():
     assert len(set(nbrs)) == 4
 
 
+def test_free_group_neighbors_cancel_or_extend_the_last_letter():
+    G = free_group_graph(3)
+
+    def words(*ws):
+        return [WordKey(w) for w in ws]
+
+    assert G.neighbors(WordKey(())) == words(
+        (-3,), (-2,), (-1,), (1,), (2,), (3,))
+    assert G.neighbors(WordKey((1,))) == words(
+        (), (1, -3), (1, -2), (1, 1), (1, 2), (1, 3))
+    assert G.neighbors(WordKey((1, 2))) == words(
+        (1,), (1, 2, -3), (1, 2, -1), (1, 2, 1), (1, 2, 2), (1, 2, 3))
+    assert all(type(w) is WordKey for w in G.neighbors(WordKey((1, 2))))
+
+
 def test_caterpillar_structure():
     G = caterpillar_graph()
     spine = G.neighbors(IntPoint((0, 0)))
@@ -271,6 +286,21 @@ def test_from_edges_rejects_self_loop():
         FiniteGraph.from_edges(2, [(0, 0)], boundary=[])
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"boundary": [-1]}, ValueError, "boundary vertex -1 out of range"),
+    ({"boundary": [0, 3]}, ValueError, "boundary vertex 3 out of range"),
+    # an index is an integer, never a truncated float
+    ({"boundary": [1.5]}, TypeError, "cannot be interpreted as an integer"),
+    ({"verts": [IntPoint((0,)), IntPoint((1,))]}, ValueError,
+     "2 vertex keys for 3"),
+], ids=["negative-boundary", "boundary-past-n", "float-boundary",
+        "short-verts"])
+def test_from_edges_rejects_bad_boundary_and_vertex_list(kwargs, error,
+                                                         message):
+    with pytest.raises(error, match=message):
+        FiniteGraph.from_edges(3, [(0, 1), (1, 2)], **kwargs)
+
+
 def test_edges_sorted_unique():
     g = ball(grid_graph(2), IntPoint((0, 0)), 3)
     e = g.edges()
@@ -364,7 +394,7 @@ def test_regular_step_function_enumerates_exactly_the_neighbors():
 def test_integer_families_build_the_keys_the_validating_constructor_does():
     """The integer families build neighbor and step keys without the
     validating IntPoint constructor: every key must still hold a tuple
-    of Python ints with the canon and hash IntPoint gives it, and
+    of Python ints, with the type, value and hash IntPoint gives it, and
     neighbor lists must stay sorted."""
     rnd = random.Random(5)
     fams = [line_graph(), cycle_graph(6), path_graph(5), path_graph(2),
@@ -381,7 +411,7 @@ def test_integer_families_build_the_keys_the_validating_constructor_does():
                 assert type(k.coords) is tuple
                 assert all(type(c) is int for c in k.coords)
                 ref = IntPoint(k.coords)
-                assert (k.canon, hash(k)) == (ref.canon, hash(ref))
+                assert (type(k), k, hash(k)) == (IntPoint, ref, hash(ref))
             v = nbrs[rnd.randrange(len(nbrs))]
 
 
@@ -393,9 +423,9 @@ def test_irregular_families_do_not_advertise_a_step_function():
     ).step_fn is None
 
 
-def _canon_ball(g):
-    return ([v.canon for v in g.verts], g.indptr.tolist(), g.indices.tolist(),
-            g.boundary_mask.tolist())
+def _typed_ball(g):
+    return ([(type(v), v) for v in g.verts], g.indptr.tolist(),
+            g.indices.tolist(), g.boundary_mask.tolist())
 
 
 def _assert_same_ball(G, center, R):
@@ -404,7 +434,7 @@ def _assert_same_ball(G, center, R):
     fast = ball(G, center, R)
     slow = ball(dataclasses.replace(G, walk_encoding=None), center, R)
     assert fast.indptr.dtype == fast.indices.dtype == np.int64
-    assert _canon_ball(fast) == _canon_ball(slow)
+    assert _typed_ball(fast) == _typed_ball(slow)
     # both paths keep the center distances their BFS computed
     assert (fast.center_dist.tolist() == slow.center_dist.tolist()
             == graph_distances(fast, 0).tolist())

@@ -1,5 +1,14 @@
+import copy
+import pickle
+
 import pytest
 
+from lampharm.graphs import (
+    InvalidVertexError,
+    grid_graph,
+    lamplighter,
+    path_graph,
+)
 from lampharm.keys import (
     IntPoint,
     LampKey,
@@ -33,14 +42,6 @@ def test_wordkey_reduced_form_enforced():
         WordKey((2, -2, 1))
     with pytest.raises(ValueError):
         WordKey((0,))
-
-
-def test_wordkey_append_cancels():
-    w = WordKey((1, 2))
-    assert w.append(-2) == WordKey((1,))
-    assert w.append(3) == WordKey((1, 2, 3))
-    assert WordKey(()).append(1) == WordKey((1,))
-    assert WordKey((1,)).append(-1) == WordKey(())
 
 
 def test_wordkey_format():
@@ -90,3 +91,72 @@ def test_cross_variant_ordering_is_total():
     once = sorted(keys)
     assert sorted(reversed(once)) == once
 
+
+_LAMPS = (
+    LampKey.make(IntPoint((1,)), {IntPoint((3,)): IntPoint((1,)),
+                                  IntPoint((-2,)): IntPoint((1,))},
+                 IntPoint((0,))),
+    LampKey.make(IntPoint((-1,)), {IntPoint((0,)): IntPoint((1,))},
+                 IntPoint((0,))),
+)
+# each key beside the nested tuple it is: a variant tag, then its fields
+_A = ("l", ("i", (1,)), ((("i", (-2,)), ("i", (1,))),
+                         (("i", (3,)), ("i", (1,)))))
+_B = ("l", ("i", (-1,)), ((("i", (0,)), ("i", (1,))),))
+_NESTED = [
+    (IntPoint((2, -1)), ("i", (2, -1))),
+    (IntPoint((2,)), ("i", (2,))),
+    (WordKey((1, -2)), ("w", (1, -2))),
+    (WordKey((-1,)), ("w", (-1,))),
+    (_LAMPS[0], _A),
+    (_LAMPS[1], _B),
+    (PairKey(*_LAMPS), ("p", _A, _B)),
+    (PairKey(*_LAMPS[::-1]), ("p", _B, _A)),
+]
+
+
+def test_keys_compare_order_and_hash_as_their_nested_tuples():
+    for key, nested in _NESTED:
+        assert hash(key) == hash(nested)
+        for other, other_nested in _NESTED:
+            assert (key < other) == (nested < other_nested)
+            assert (key <= other) == (nested <= other_nested)
+            assert (key == other) == (nested == other_nested)
+
+
+def test_key_fields_read_back_what_was_built():
+    a, b = _LAMPS
+    assert IntPoint([2, -1]).coords == (2, -1)
+    assert WordKey([1, -2]).letters == (1, -2)
+    assert a.base == IntPoint((1,))
+    assert a.lamps == ((IntPoint((-2,)), IntPoint((1,))),
+                       (IntPoint((3,)), IntPoint((1,))))
+    assert (PairKey(a, b).left, PairKey(a, b).right) == (a, b)
+
+
+def test_lampkey_from_lists_is_hashable():
+    k = LampKey(IntPoint((0,)), [[IntPoint((1,)), IntPoint((1,))]])
+    assert hash(k) == hash(LampKey(IntPoint((0,)),
+                                   [(IntPoint((1,)), IntPoint((1,)))]))
+
+
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
+                                 lambda k: pickle.loads(pickle.dumps(k))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_keys_survive_copy_and_pickle_with_their_type(dup):
+    for key, _ in _NESTED:
+        twin = dup(key)
+        assert type(twin) is type(key) and twin == key
+        assert hash(twin) == hash(key) and repr(twin) == repr(key)
+    pair = dup(_NESTED[-1][0])
+    assert type(pair.left) is LampKey
+    assert type(pair.left.base) is IntPoint
+
+
+def test_plain_tuple_equals_a_key_but_is_no_vertex():
+    assert IntPoint((0, 0)) == ("i", (0, 0))
+    with pytest.raises(InvalidVertexError):
+        grid_graph(2).neighbors(("i", (0, 0)))
+    G = lamplighter(path_graph(2), grid_graph(1), IntPoint((0,)))
+    with pytest.raises(InvalidVertexError):
+        G.neighbors(("l", ("i", (0,)), ()))
