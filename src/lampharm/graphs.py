@@ -64,9 +64,9 @@ class GraphOracle:
     step_fn(v, .) must agree with neighbors(v).
 
     `walk_encoding` is set only by the family constructors that have an
-    array form of their vertices (the lamplighter of path(2) over the
-    line, the free groups, the line, the grids, the caterpillar and the
-    direct product of two lattices).
+    array form of their vertices: the free groups, the line, the grids,
+    the caterpillar, the direct product of two lattices, and the
+    lamplighter of path(2) over any of these lattices (see _LampFrame).
     `walk_encoding(starts, steps)` returns a WalkFrame that encodes every
     vertex within `steps` moves of the starts as one numpy row. Walks
     use `spawn(start, n)` (the state of n walkers at `start`),
@@ -240,27 +240,21 @@ def lamplighter(L, H, root_o):
     except Exception as e:
         raise InvalidVertexError(f"root {root_o!r} is not a vertex of L: {e}")
     if not root_nbrs:
-        raise InvalidVertexError(
-            f"lamp graph has no edge at root {root_o!r}"
-        )
+        raise InvalidVertexError(f"lamp graph has no edge at root {root_o!r}")
 
     def nbrs(v):
         if not isinstance(v, LampKey):
             raise InvalidVertexError(f"not a lamplighter vertex: {v!r}")
-        out = []
-        for x2 in H.neighbors(v.base):
-            out.append(_raw_lamp(x2, v.lamps))
+        out = [_raw_lamp(x2, v.lamps) for x2 in H.neighbors(v.base)]
         cur = v.lamp_at(v.base, root_o)
-        for l2 in L.neighbors(cur):
-            out.append(v.with_lamp(v.base, l2, root_o))
+        out += [v.with_lamp(v.base, l2, root_o) for l2 in L.neighbors(cur)]
         return sorted(out)
 
     bound = None
     if L.degree_bound is not None and H.degree_bound is not None:
         bound = L.degree_bound + H.degree_bound
 
-    step = None
-    encoding = None
+    step = encoding = None
     if L.step_fn is not None and H.step_fn is not None:
         hr, h_step, l_step = H.degree_bound, H.step_fn, L.step_fn
 
@@ -270,22 +264,18 @@ def lamplighter(L, H, root_o):
             cur = v.lamp_at(v.base, root_o)
             return v.with_lamp(v.base, l_step(cur, i - hr), root_o)
 
-        # H is the line: it steps as grid(1) does
-        if (L.step_fn is _flip_step and H.step_fn is _grid_step
-                and H.degree_bound == 2):
+        # path(2) lamps over a lattice: a bitset atop the lattice's rows
+        if L.step_fn is _flip_step and isinstance(
+                array_frame(H, (H.origin,), 0), _IntFrame):
             lit = _flip_step(root_o, 0)
 
             def encoding(starts, steps):
-                return _LampLineFrame(starts, steps, lit)
+                base = H.walk_encoding(tuple(s.base for s in starts), steps)
+                return _LampFrame(base, starts, lit)
 
-    return GraphOracle(
-        nbrs,
-        LampKey(H.origin, ()),
-        degree_bound=bound,
-        name=f"lamplighter({L.name},{H.name})",
-        step_fn=step,
-        walk_encoding=encoding,
-    )
+    return GraphOracle(nbrs, LampKey(H.origin, ()), degree_bound=bound,
+                       name=f"lamplighter({L.name},{H.name})", step_fn=step,
+                       walk_encoding=encoding)
 
 
 def direct_product(H1, H2):
@@ -373,11 +363,6 @@ def array_frame(G, starts, steps):
     return frame if frame.row_bytes <= ARRAY_ROW_BYTES_CAP else None
 
 
-def _check_coords(lo, hi):
-    if max(-lo, hi) >= _COORD_LIMIT:
-        raise OverflowError(f"coordinates in [{lo}, {hi}] overflow int64")
-
-
 class WalkFrame:
     """Vertices as numpy rows (see GraphOracle.walk_encoding).
 
@@ -396,7 +381,7 @@ class WalkFrame:
 
     Column 0 of a vertex's row is its key's potential.sign_projection:
     the first coordinate (the left factor's on a product), the base
-    position, or a word's first letter (0 for the identity), so the sign
+    position's, or a word's first letter (0 for the identity), so the sign
     split reads the rows.
     """
 
@@ -422,12 +407,13 @@ class _IntFrame(WalkFrame):
         axes = list(zip(*map(self._coords, starts)))
         lo, hi = self._box([min(a) - steps for a in axes],
                            [max(a) + steps for a in axes])
-        _check_coords(min(lo), max(hi))
+        if max(-min(lo), max(hi)) >= _COORD_LIMIT:
+            raise OverflowError(f"coordinates in {lo}..{hi} overflow int64")
         self.row_bytes = 8 * d
         eye = np.eye(d, dtype=np.int64)
         self._offsets = np.concatenate([-eye, eye[::-1]])
         sizes = [h - l + 1 for l, h in zip(lo, hi)]
-        self._lo, self.code_bound = lo, math.prod(sizes)
+        self._lo, self._sizes, self.code_bound = lo, sizes, math.prod(sizes)
         self._strides = [math.prod(sizes[a + 1:]) for a in range(d)]
         if self.code_bound < 2**63:
             self._code_steps = self._offsets @ np.array(self._strides)
@@ -449,6 +435,10 @@ class _IntFrame(WalkFrame):
     def code(self, key):
         return sum((x - l) * s for x, l, s in
                    zip(self._coords(key), self._lo, self._strides))
+
+    def code_rows(self, codes):
+        """The rows of the box's sites numbered `codes`, vectorized."""
+        return np.stack(np.unravel_index(codes, self._sizes), 1) + self._lo
 
     def expand(self, rows, codes):
         return (codes[:, None] + self._code_steps).ravel()
@@ -513,90 +503,98 @@ class _CaterpillarFrame(_IntFrame):
         return out
 
 
-class _LampLineFrame(WalkFrame):
-    """Walkers on lamplighter(path(2), line, root) as one int64 row each:
-    the position, then a bitset of the lamps that differ from the root
-    (their state is `lit`) over every site that the starts' lamps or
-    `steps` moves from a start can reach. Walk choices follow step_fn:
-    left, right, toggle the lamp at the position; ball choices are left,
-    toggle, right. A code is the position atop a one-word bitset over
-    the sites in reach; a lone start's other lamps never change."""
+class _LampFrame(WalkFrame):
+    """Walkers on lamplighter(path(2), H, root) over a lattice H: the row
+    of H's frame `base` (box: the starts' positions +- steps), then a
+    bitset of the lamps off the root (state `lit`): bit b < n lights the
+    site of base code b, n the box's sites, and the starts' lamps outside
+    the box, which no move reaches, follow. Walk choices follow step_fn:
+    the base's, then toggle; ball choices are the base's first d, toggle,
+    its last d. A code is the position's base code atop the n in-box
+    bits, which fits int64 for balls to R = 27 on Z, 2 on Z^2 and 0 on
+    Z^3; a row fits ARRAY_ROW_BYTES_CAP for walks of 63 steps on Z^2 and
+    11 on Z^3 (12 from one base position)."""
 
-    _DELTA = np.array([-1, 1, 0], dtype=np.int64)
-
-    def __init__(self, starts, steps, lit):
-        pos = [s.base.coords[0] for s in starts]
-        lit_sites = [h.coords[0] for s in starts for h, _ in s.lamps]
-        reach = [min(pos) - steps, max(pos) + steps]
-        self.lo, hi = min(reach + lit_sites), max(reach + lit_sites)
-        _check_coords(self.lo, hi)
-        words = (hi - self.lo) // 64 + 1
-        self.row_bytes = 8 * (1 + words)
-        self.lit = lit
-        self._code_lo, code_hi = reach if len(starts) < 2 else (self.lo, hi)
-        self._sites = code_hi - self._code_lo + 1
-        self.code_bound = self._sites << self._sites
+    def __init__(self, base, starts, lit):
+        self.base, self.lit = base, lit
+        self.n = n = base.code_bound
+        self.d = d = len(base._strides)
+        box = list(zip(base._lo, base._sizes))
+        self._far = sorted({h for s in starts for h, _ in s.lamps if not all(
+            0 <= x - lo < z for x, (lo, z) in zip(base._coords(h), box))})
+        self._far_bit = {h: n + j for j, h in enumerate(self._far)}
+        # too wide a row or code is refused before anything grows with n
+        self.row_bytes = base.row_bytes + 8 * -(-(n + len(self._far)) // 64)
+        self.code_bound = n << n if n < 63 else 1 << 63
+        # each axis's step in every walk choice and every ball choice
+        c, offs = np.arange(2 * d + 1), base._offsets
+        ball = np.concatenate([offs[:d], 0 * offs[:1], offs[d:]])
+        self._axes = [(a, (c >> 1 == a) * (2 * (c & 1) - 1), ball.T[a].copy(),
+                       lo, z) for a, (lo, z) in enumerate(box)]
+        if self.code_bound < 2**63:
+            self._code_steps = ball @ base._strides << n
 
     def spawn(self, start, n):
         row = np.zeros(self.row_bytes // 8, dtype=np.int64)
-        row[0] = start.base.coords[0]
+        row[:self.d] = self.base._coords(start.base)
         for h, _ in start.lamps:
-            site = h.coords[0] - self.lo
-            row[1 + site // 64] ^= np.left_shift(1, site % 64)
+            b = self._far_bit[h] if h in self._far_bit else self.base.code(h)
+            row[self.d + b // 64] ^= np.left_shift(1, b % 64)
         return np.tile(row, (n, 1))
 
     def move(self, state, who, u):
-        # every mover xors its lamp word, with a zero mask unless it
-        # toggles
+        # one read per coordinate serves its move and the toggled site's
+        # base code (Horner form); a mover that does not toggle xors zero
         flat = state.reshape(-1)
-        choice = (u * len(self._DELTA)).astype(np.intp)
+        choice = (u * (2 * self.d + 1)).astype(np.intp)
         at = who * state.shape[1]
-        here = flat[at]
-        flat[at] = here + self._DELTA[choice]
-        site = here - self.lo
+        for a, steps, _, lo, size in self._axes:
+            col = at + a if a else at
+            x = flat[col]
+            flat[col] = x + steps[choice]
+            site = site * size + (x - lo) if a else x - lo
         mask = np.left_shift(1, site & 63)
-        mask *= choice == 2
-        flat[at + 1 + (site >> 6)] ^= mask
+        mask *= choice == 2 * self.d
+        flat[at + self.d + (site >> 6)] ^= mask
 
     def code(self, key):
-        site = [h.coords[0] - self._code_lo for h, _ in key.lamps]
-        lamps = sum(1 << b for b in site if 0 <= b < self._sites)
-        return (key.base.coords[0] - self._code_lo) << self._sites | lamps
+        lamps = sum(1 << self.base.code(h) for h, _ in key.lamps
+                    if h not in self._far_bit)
+        return self.base.code(key.base) << self.n | lamps
 
     def expand(self, rows, codes):
-        code = codes[:, None] + (1 << self._sites) * np.array([-1, 0, 1])
-        code[:, 1] ^= np.left_shift(1, rows[:, 0] - self._code_lo)
+        code = codes[:, None] + self._code_steps
+        code[:, self.d] ^= np.left_shift(1, codes >> self.n)
         return code.ravel()
 
     def follow(self, rows, picks):
-        row, choice = np.divmod(picks, 3)
+        row, choice = np.divmod(picks, 2 * self.d + 1)
         out = rows[row]
-        site = out[:, 0] - self.lo
+        for a, _, steps, lo, size in self._axes:
+            x = out[:, a]
+            site = site * size + (x - lo) if a else x - lo
+            x += steps[choice]
         # every pick xors its lamp word, with a zero mask unless it toggles
-        mask = np.left_shift(1, site & 63) * (choice == 1)
-        out[np.arange(len(out)), 1 + (site >> 6)] ^= mask
-        out[:, 0] += choice - 1
+        mask = np.left_shift(1, site & 63) * (choice == self.d)
+        out[np.arange(len(out)), self.d + (site >> 6)] ^= mask
         return out
 
     def decode(self, rows):
-        # bit b of the little-endian bitset is site lo + b
-        bits = np.ascontiguousarray(rows[:, 1:], dtype="<i8").view(np.uint8)
-        owner, bit = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
-        sites, slot = np.unique(bit, return_inverse=True)
-        sites = (sites + self.lo).tolist()
-        pos = rows[:, 0].tolist()
-        point = {x: _raw_point((x,)) for x in set(pos).union(sites)}
-        lit = self.lit
-        entry = [(point[x], lit) for x in sites]
-        slot = slot.tolist()
+        n, d = self.n, self.d
+        word = np.ascontiguousarray(rows[:, d:], dtype="<i8").view(np.uint8)
+        owner, bit = np.nonzero(np.unpackbits(word, axis=1, bitorder="little"))
+        used, slot = np.unique(bit, return_inverse=True)
+        far = used >= n
+        sites = self.base.decode(self.base.code_rows(used[~far]))
+        sites += [self._far[b - n] for b in used[far].tolist()]
+        # a vertex's lamps sort by site, the far ones among the others
+        rank = np.argsort(sorted(range(len(sites)), key=sites.__getitem__))
+        slot = slot[np.lexsort((rank[slot], owner))].tolist()
+        entry = [(x, self.lit) for x in sites]
         ends = np.searchsorted(owner, np.arange(1, len(rows) + 1)).tolist()
-        out = []
-        a = 0
-        for x, b in zip(pos, ends):
-            mine = slot[a:b]
-            out.append(_raw_lamp(point[x], tuple([entry[j] for j in mine])))
-            a = b
-        return out
+        return [_raw_lamp(x, tuple([entry[j] for j in slot[a:b]]))
+                for x, a, b in zip(self.base.decode(rows[:, :d]),
+                                   [0] + ends, ends)]
 
 
 class _WordFrame(WalkFrame):
@@ -750,8 +748,11 @@ class FiniteGraph:
         """Build directly from an undirected edge list (test/CLI input).
         Duplicate edges collapse. A self-loop, an edge or boundary index
         outside range(n), or a `verts` list not of length n raises
-        ValueError; a boundary index that is not an integer, TypeError."""
-        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        ValueError; an endpoint or boundary index that is not an integer,
+        TypeError."""
+        # index() refuses a float, which the int64 cast would truncate
+        e = np.array([tuple(map(operator.index, uv)) for uv in edges],
+                     dtype=np.int64).reshape(-1, 2)
         bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
         if bad.any():
             u, v = e[np.argmax(bad)].tolist()
@@ -766,8 +767,7 @@ class FiniteGraph:
         b = np.array([operator.index(x) for x in boundary], dtype=np.int64)
         bad = (b < 0) | (b >= n)
         if bad.any():
-            raise ValueError(f"boundary vertex {b[np.argmax(bad)]} "
-                             f"out of range")
+            raise ValueError(f"boundary vertex {b[bad][0]} out of range")
         mask = np.zeros(n, dtype=bool)
         mask[b] = True
         if verts is None:

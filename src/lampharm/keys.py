@@ -24,7 +24,7 @@ plain tuple of the same shape equals a key, but only a key is a vertex.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index, itemgetter
 
 _new = tuple.__new__
 
@@ -49,7 +49,8 @@ class IntPoint(VertexKey):
     coords = property(itemgetter(1))
 
     def __new__(cls, coords):
-        return _new(cls, ("i", tuple(int(c) for c in coords)))
+        # index() refuses a float, which int() would truncate
+        return _new(cls, ("i", tuple(map(index, coords))))
 
 
 class WordKey(VertexKey):
@@ -60,7 +61,7 @@ class WordKey(VertexKey):
     letters = property(itemgetter(1))
 
     def __new__(cls, letters=()):
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(map(index, letters))
         for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError(f"word {letters} is not reduced")

@@ -11,18 +11,19 @@ way Counter.update counts a checkpoint's labels in C, and tv_distance
 sums the exact gap in int64.
 
 walk_series takes the array engine on oracles that carry a
-`walk_encoding`: the lamplighter of path(2) over the line, the free
-groups, the line, the grids, the caterpillar and the direct product of
-two lattices. It draws from the generator exactly as the object engine
-does (per batch of BATCH_TRIALS walkers and per step, one
+`walk_encoding`: the free groups, the line, the grids, the caterpillar,
+the direct product of two lattices, and the lamplighter of path(2) over
+any of these lattices. It draws from the generator exactly as the
+object engine does (per batch of BATCH_TRIALS walkers and per step, one
 rng.random(batch) for laziness unless laziness is 0, then one
 rng.random(movers) whose value u picks step_fn neighbor
 int(u * degree_bound), or on the irregular caterpillar
 neighbors(v)[int(u * deg v)]), so every walker follows the same
 trajectory on either engine. Every other oracle, and walks whose array
-rows would outgrow ARRAY_ROW_BYTES_CAP (a start lamp far from the
-starts, say) or whose coordinates could leave int64, run the object
-engine (see graphs.array_frame).
+rows would outgrow ARRAY_ROW_BYTES_CAP (a lamplighter walk past 63
+steps on Z^2, or on Z^3 past 11, 12 from one base position) or whose
+coordinates could leave int64, run the object engine (see
+graphs.array_frame).
 """
 
 from __future__ import annotations

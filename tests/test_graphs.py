@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,14 @@ def test_from_edges_rejects_bad_boundary_and_vertex_list(kwargs, error,
         FiniteGraph.from_edges(3, [(0, 1), (1, 2)], **kwargs)
 
 
+def test_from_edges_refuses_a_float_endpoint_and_takes_numpy_ints():
+    # before each endpoint was vetted, (0, 1.7) was truncated to (0, 1)
+    with pytest.raises(TypeError, match="cannot be interpreted"):
+        FiniteGraph.from_edges(3, [(0, 1.7)])
+    g = FiniteGraph.from_edges(3, np.array([[0, 1], [2, 1]]))
+    assert g.adj == [[1], [0, 2], [1]]
+
+
 def test_edges_sorted_unique():
     g = ball(grid_graph(2), IntPoint((0, 0)), 3)
     e = g.edges()
@@ -449,6 +458,11 @@ def _lit(root, pos, sites):
                         o)
 
 
+def _lamp_grid(H):
+    return lamplighter(path_graph(2), H, IntPoint((0,)))
+
+
+_ON = IntPoint((1,))
 _ARRAY_FAMILIES = [
     (lamplighter(path_graph(2), line_graph(), IntPoint((0,))), None),
     (lamplighter(path_graph(2), line_graph(), IntPoint((0,))),
@@ -458,6 +472,15 @@ _ARRAY_FAMILIES = [
      _lit(1, -1, [-3, 2])),
     # the line is grid(1), so this is the same frame under another name
     (lamplighter(path_graph(2), grid_graph(1), IntPoint((0,))), None),
+    (_lamp_grid(grid_graph(2)), None),
+    # a lamp in reach of the center and one beyond every radius's box,
+    # which sorts among the sites in reach
+    (_lamp_grid(grid_graph(2)),
+     LampKey.make(IntPoint((0, 1)),
+                  {IntPoint((0, 0)): _ON, IntPoint((0, 9)): _ON},
+                  IntPoint((0,)))),
+    (_lamp_grid(grid_graph(3)), None),
+    (_lamp_grid(direct_product(line_graph(), line_graph())), None),
     (free_group_graph(1), None),
     (free_group_graph(1), WordKey((-1, -1))),
     (free_group_graph(2), None),
@@ -483,6 +506,13 @@ _ARRAY_FAMILIES = [
 ]
 
 
+# the largest radius whose lamplighter codes fit int64, where it is
+# below 6; larger radii take the oracle path
+_ARRAY_REACH = {"lamplighter(path(2),grid(2))": 2,
+                "lamplighter(path(2),product(line,line))": 2,
+                "lamplighter(path(2),grid(3))": 0}
+
+
 @pytest.mark.parametrize(
     "G, center", _ARRAY_FAMILIES,
     ids=[f"{G.name}@{'origin' if c is None else format_key(c)}"
@@ -498,7 +528,8 @@ def test_array_ball_matches_oracle_ball(G, center, monkeypatch):
             _assert_same_ball(G, center, R)
             # the sign split read off the rows equals the one of the keys
             fast = ball(G, center, R)
-            assert fast.rows is not None
+            assert (fast.rows is not None) == (
+                R <= _ARRAY_REACH.get(G.name, 6))
             assert (split_values(fast)
                     == split_values(ball(oracle, center, R)))
 
@@ -507,7 +538,7 @@ def test_array_ball_matches_oracle_ball(G, center, monkeypatch):
                          ids=lambda G: G.name)
 def test_array_ball_decodes_keys_only_when_read(G, decoded_rows):
     decoded = decoded_rows(G)
-    g = ball(G, G.origin, 4)
+    g = ball(G, G.origin, min(4, _ARRAY_REACH.get(G.name, 4)))
     # the center's one row is decoded to vet it, and nothing else
     assert decoded == [1]
     assert g.n == len(g.indptr) - 1 == len(g.rows)
@@ -534,13 +565,41 @@ def test_array_ball_matches_oracle_ball_at_benchmark_radii(G, R):
     _assert_same_ball(G, G.origin, R)
 
 
-def test_ball_falls_back_to_the_oracle_past_the_row_cap():
+def test_a_far_start_lamp_is_one_bit_of_the_row():
+    # the lamps outside the box of sites in reach take one bit each and
+    # sort among the others when decoded
     G = lamplighter(path_graph(2), line_graph(), IntPoint((0,)))
-    far = _lit(0, 0, [10**6])
+    for far in (_lit(0, 0, [10**6]), _lit(0, 0, [-10**6, -2, 3, 10**6])):
+        counted, calls = _counting(G)
+        g = ball(counted, far, 3)
+        assert calls == [far] and g.rows.shape == (22, 2)
+        _assert_same_ball(G, far, 3)
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ball_falls_back_to_the_oracle_past_the_row_cap():
+    # grid(9)'s box at R + 1 = 2 has 5**9 sites, a 244 kB bitset
+    G = _lamp_grid(grid_graph(9))
     counted, calls = _counting(G)
-    g = ball(counted, far, 3)
-    assert len(calls) == g.n == 22
-    _assert_same_ball(G, far, 3)
+    g = ball(counted, G.origin, 1)
+    assert len(calls) == g.n == 20 and g.rows is None
+    _assert_same_ball(G, G.origin, 1)
+    # the frame is refused before anything grows with the sites: a
+    # 200-step walk box on Z^3 has 401**3 sites, whose 1 << sites alone
+    # would be 8 MB
+    H = _lamp_grid(grid_graph(3))
+    for frame, steps in ((G, 2), (H, 200)):
+        out, peak = _peak_bytes(
+            lambda: graphs.array_frame(frame, (frame.origin,), steps))
+        assert out is None and peak < 50_000
 
 
 def test_ball_falls_back_where_coordinates_could_leave_int64():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from lampharm.graphs import (
@@ -42,6 +43,24 @@ def test_wordkey_reduced_form_enforced():
         WordKey((2, -2, 1))
     with pytest.raises(ValueError):
         WordKey((0,))
+
+
+@pytest.mark.parametrize("make", [lambda: IntPoint((0.5, 2.9)),
+                                  lambda: IntPoint((1, 2.0)),
+                                  lambda: WordKey((1.7,))],
+                         ids=["intpoint", "intpoint-integral-float",
+                              "wordkey"])
+def test_validating_constructors_refuse_floats(make):
+    # int() would truncate them: (0.5, 2.9) was the point (0, 2)
+    with pytest.raises(TypeError, match="cannot be interpreted"):
+        make()
+
+
+def test_validating_constructors_take_numpy_integers_as_ints():
+    p = IntPoint((np.int64(3), np.int32(-2)))
+    w = WordKey(np.array([1, -2], dtype=np.int8))
+    assert (p, w) == (IntPoint((3, -2)), WordKey((1, -2)))
+    assert all(type(c) is int for c in p.coords + w.letters)
 
 
 def test_wordkey_format():

@@ -12,6 +12,7 @@ import pytest
 from lampharm.graphs import (
     GraphOracle,
     BudgetExceededError,
+    array_frame,
     ball,
     caterpillar_graph,
     cycle_graph,
@@ -286,6 +287,15 @@ def _lamp(site):
     return LampKey.make(o, {IntPoint((site,)): IntPoint((1,))}, o)
 
 
+def _lamp_over(H):
+    return lamplighter(path_graph(2), H, IntPoint((0,)))
+
+
+def _lamp_at(site):
+    """The lamplighter vertex at `site` with its one lamp there lit."""
+    return LampKey(site, [(site, IntPoint((1,)))])
+
+
 @pytest.mark.parametrize("G, starts, laziness, trials, steps", [
     (_lamp_graph(), (None, _lamp(0)), 0.5, BATCH_TRIALS + 1, 3),
     (_lamp_graph(), (_lamp(40), None), 0.5, 3000, 12),
@@ -309,27 +319,47 @@ def _lamp(site):
     (direct_product(line_graph(), line_graph()), (None, None), 0.5, 3000, 12),
     (direct_product(grid_graph(2), line_graph()),
      (PairKey(IntPoint((1, -2)), IntPoint((3,))), None), 0.0, 3000, 12),
-], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-beyond-row-cap",
+    (_lamp_over(grid_graph(2)), (None, None), 0.5, 3000, 20),
+    # a 12-step box on Z^3 fits the row cap from one base position
+    (_lamp_over(grid_graph(3)), (None, _lamp_at(IntPoint((0, 0, 0)))), 0.5,
+     3000, 12),
+    (_lamp_over(direct_product(line_graph(), line_graph())),
+     (_lamp_at(PairKey(IntPoint((2,)), IntPoint((-1,)))), None), 0.0,
+     3000, 12),
+], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-far-start-lamp",
         "lamp-eager", "lamp-second-lamp-word", "lamp-second-lamp-word-eager",
         "lamp-root-1", "free2", "free3", "free2-eager-batches",
         "free1-eager-returns", "free2-eager-returns",
         "line", "grid2", "grid3-eager", "caterpillar",
         "caterpillar-leaf-eager-batches", "product-line-line",
-        "product-grid2-line-eager"])
+        "product-grid2-line-eager", "lamp-grid2", "lamp-grid3-e-delta0",
+        "lamp-product-line-line-eager"])
 def test_array_engine_matches_object_engine(G, starts, laziness, trials,
                                             steps):
     """Same RNG draws, same trajectories: the array engine and the object
     engine (the same oracle with its encoding removed) agree at every
     checkpoint."""
-    assert G.walk_encoding is not None
     cfg = WalkConfig(steps=steps, trials=trials, laziness=laziness, seed=8,
                      start_a=starts[0], start_b=starts[1])
+    assert array_frame(G, walks._resolve_starts(G, cfg), steps) is not None
     marks = sorted({0, steps // 2, steps})
     fast = walk_series(G, cfg, marks)
     slow = walk_series(dataclasses.replace(G, walk_encoding=None), cfg, marks)
     assert fast.checkpoints == slow.checkpoints
-    for got, want in zip(fast.tv + fast.baseline, slow.tv + slow.baseline):
-        assert abs(got - want) <= 1e-12
+    assert (fast.tv, fast.baseline) == (slow.tv, slow.baseline)
+
+
+def test_lamp_walk_rows_fit_the_cap_up_to_the_documented_steps():
+    # from two neighboring positions the Z^2 box at 63 steps is 127 x 128
+    # sites, 254 lamp words and a 2,048 B row; on Z^3 the 25**3 sites of
+    # 12 steps fit from one base position, 25 x 25 x 26 from two do not
+    for H, b, fits in [(grid_graph(2), None, 63), (grid_graph(3), None, 11),
+                       (grid_graph(3), _lamp_at(IntPoint((0, 0, 0))), 12)]:
+        G = _lamp_over(H)
+        cfg = WalkConfig(steps=fits, trials=1, start_b=b)
+        starts = walks._resolve_starts(G, cfg)
+        assert array_frame(G, starts, fits) is not None
+        assert array_frame(G, starts, fits + 1) is None
 
 
 def test_walk_past_int64_coordinates_runs_on_the_object_engine():
@@ -348,10 +378,16 @@ def test_only_the_encoded_families_carry_an_array_walk():
     L = path_graph(2)
     assert lamplighter(L, cycle_graph(5), IntPoint((0,))).walk_encoding is None
     assert lamplighter(L, line_graph(), IntPoint((1,))).walk_encoding is not None
-    # the line is grid(1): over grid(1) the lamplighter has the line's
-    # frame, over grid(2) none
-    assert lamplighter(L, grid_graph(1), IntPoint((0,))).walk_encoding is not None
-    assert lamplighter(L, grid_graph(2), IntPoint((0,))).walk_encoding is None
+    # path(2) lamps over a lattice whose frame is an _IntFrame: the line
+    # (grid(1)), any grid and a product of lattices; not over the free
+    # groups, whose rows are words
+    for H in (grid_graph(1), grid_graph(2), grid_graph(3),
+              direct_product(line_graph(), line_graph()),
+              direct_product(grid_graph(2), line_graph())):
+        assert lamplighter(L, H, IntPoint((0,))).walk_encoding is not None
+    assert free_group_graph(2).walk_encoding is not None
+    assert lamplighter(L, free_group_graph(2),
+                       IntPoint((0,))).walk_encoding is None
     # the caterpillar is irregular: its frame moves as neighbors() picks
     assert caterpillar_graph().walk_encoding is not None
     assert caterpillar_graph().step_fn is None
