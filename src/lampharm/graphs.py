@@ -73,9 +73,10 @@ class GraphOracle:
     `move(state, who, u)` (walker who[j] at v goes to its step_fn
     neighbor number int(u[j] * degree_bound), or on an irregular
     family to neighbors(v)[int(u[j] * deg v)]) and `labels(state)` (one
-    bytes label per walker, equal iff two walkers stand on the same
-    vertex); `ball` uses `ball_rows`, `expand` and `decode` (see
-    WalkFrame). `row_bytes` is the size of one row.
+    bytes label per walker: its row's bytes without their trailing zero
+    bytes, equal iff two walkers stand on the same vertex); `ball` uses
+    `ball_rows`, `expand` and `decode` (see WalkFrame). `row_bytes` is
+    the size of one row.
     """
 
     neighbors: Callable[[VertexKey], list]
@@ -234,6 +235,11 @@ def lamplighter(L, H, root_o):
     configuration). Moves either step the position in H with lamps fixed,
     or step the lamp at the current position inside L. The degree of (x, f)
     is deg_H(x) + deg_L(f(x)).
+
+    The oracle path does not vet lamps: `neighbors` reads only the lamp
+    at the current position, so a key with a lamp at a position foreign
+    to H passes it. The array frame's encoding vets every lamp position
+    of its starts with H.neighbors, once per frame.
     """
     try:
         root_nbrs = L.neighbors(root_o)
@@ -270,6 +276,11 @@ def lamplighter(L, H, root_o):
             lit = _flip_step(root_o, 0)
 
             def encoding(starts, steps):
+                # the frame reads every lamp position's fields, which the
+                # oracle path never does: vet them
+                for s in starts:
+                    for h, _ in s.lamps:
+                        H.neighbors(h)
                 base = H.walk_encoding(tuple(s.base for s in starts), steps)
                 return _LampFrame(base, starts, lit)
 
@@ -386,9 +397,13 @@ class WalkFrame:
     """
 
     def labels(self, state):
+        # as numpy bytes, tolist() drops each row's trailing zero bytes;
+        # every row has the same width, so a label still names its row
         rows = np.ascontiguousarray(self._rows(state))
-        void = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-        return rows.view(void).ravel().tolist()
+        width = rows.shape[1] * rows.itemsize
+        if not width:
+            return [b""] * len(rows)
+        return rows.view(f"S{width}").ravel().tolist()
 
     def _rows(self, state):
         return state
@@ -646,6 +661,12 @@ class _WordFrame(WalkFrame):
 
     def _rows(self, state):
         return state[0]
+
+    def labels(self, state):
+        # a label is its word's letters at any width, so the rows are cut
+        # at the longest word: fewer zero bytes for labels to strip
+        words, length = state
+        return super().labels((words[:, :length.max()], length))
 
     def code(self, key):
         w, i = (0,) + key.letters, 0

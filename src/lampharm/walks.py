@@ -5,10 +5,13 @@ Walks step on the oracle directly with only current positions held in
 memory, so trajectories through enormous implicit graphs stay cheap.
 Histograms count walk endpoints under exact labels: the vertex keys
 themselves on the object engine, which calls step_fn (or neighbors)
-once per walker and step, and a bytes row per vertex on the array
-engine, which steps whole batches of walkers as numpy arrays. Either
-way Counter.update counts a checkpoint's labels in C, and tv_distance
-sums the exact gap in int64.
+once per walker and step, and on the array engine, which steps whole
+batches of walkers as numpy arrays, the bytes of a vertex's row without
+their trailing zero bytes (all rows of a frame have one width, so the
+label still names the row). Either way Counter.update counts a
+checkpoint's labels in C, and tv_distance sums the exact gap in int64.
+The split-half baselines are taken right after the first start's walk,
+whose half histograms are released before the second walk runs.
 
 walk_series takes the array engine on oracles that carry a
 `walk_encoding`: the free groups, the line, the grids, the caterpillar,
@@ -210,11 +213,9 @@ def walk_series(G, cfg, checkpoints=None, budget=None):
             G.neighbors(s)  # the frame reads the keys' fields: vet them
         frame = array_frame(G, (a, b), cfg.steps) or frame
     rng = np.random.default_rng(cfg.seed)
-    ha, halves_a = _run_walk(frame, a, cfg, marks, rng, split=True)
+    ha, halves = _run_walk(frame, a, cfg, marks, rng, split=True)
+    base = [tv_distance(lo, hi) if lo and hi else 0.0
+            for lo, hi in map(halves.pop, marks)]
     hb, _ = _run_walk(frame, b, cfg, marks, rng)
     tv = [tv_distance(ha[t], hb[t]) for t in marks]
-    base = []
-    for t in marks:
-        lo, hi = halves_a[t]
-        base.append(tv_distance(lo, hi) if lo and hi else 0.0)
     return WalkSeries(G.name, marks, tv, base)

@@ -4,6 +4,8 @@ and validation. Critical values are hardcoded (1% level): 6.635 for 1
 degree of freedom, 18.475 for 7."""
 
 import dataclasses
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from lampharm.graphs import (
     GraphOracle,
     BudgetExceededError,
+    InvalidVertexError,
     array_frame,
     ball,
     caterpillar_graph,
@@ -310,6 +313,8 @@ def _lamp_at(site):
     (free_group_graph(2), (None, None), 0.0, BATCH_TRIALS + 1, 3),
     (free_group_graph(1), (None, None), 0.0, 3000, 40),
     (free_group_graph(2), (WordKey((2,)), None), 0.0, 3000, 6),
+    # rows of no letters at all: every label is b""
+    (free_group_graph(2), (WordKey(()), WordKey(())), 0.5, 5, 0),
     (line_graph(), (IntPoint((-3,)), None), 0.5, 3000, 12),
     (grid_graph(2), (None, None), 0.5, 3000, 12),
     (grid_graph(3), (IntPoint((1, -2, 0)), None), 0.0, 3000, 12),
@@ -329,7 +334,7 @@ def _lamp_at(site):
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-far-start-lamp",
         "lamp-eager", "lamp-second-lamp-word", "lamp-second-lamp-word-eager",
         "lamp-root-1", "free2", "free3", "free2-eager-batches",
-        "free1-eager-returns", "free2-eager-returns",
+        "free1-eager-returns", "free2-eager-returns", "free2-zero-width",
         "line", "grid2", "grid3-eager", "caterpillar",
         "caterpillar-leaf-eager-batches", "product-line-line",
         "product-grid2-line-eager", "lamp-grid2", "lamp-grid3-e-delta0",
@@ -360,6 +365,87 @@ def test_lamp_walk_rows_fit_the_cap_up_to_the_documented_steps():
         starts = walks._resolve_starts(G, cfg)
         assert array_frame(G, starts, fits) is not None
         assert array_frame(G, starts, fits + 1) is None
+
+
+def _line_lamp(base, *sites):
+    return LampKey(IntPoint((base,)),
+                   [(IntPoint((x,)), IntPoint((1,))) for x in sites])
+
+
+@pytest.mark.parametrize("G, keys, steps", [
+    # little-endian int64: 1 is 01 00.., 256 is 00 01 00.., -1 is ff..
+    (line_graph(), [IntPoint((x,)) for x in (0, 1, 256, -1, 1)], 2),
+    (free_group_graph(2),
+     [WordKey(w) for w in [(), (1,), (-1,), (2,), (-2,), ()]], 3),
+    # a box of 82 sites, -40..41: lamp word 0 holds sites -40..23 and
+    # the last word 24..41; every lamp off against lamps lit only there
+    (_lamp_graph(),
+     [_line_lamp(0), _line_lamp(0, 24), _line_lamp(0, 40),
+      _line_lamp(0, 24, 40), _line_lamp(1), _line_lamp(0, 23),
+      _line_lamp(0)], 40),
+    (caterpillar_graph(),
+     [IntPoint(p) for p in [(0, 0), (0, 1), (1, 0), (1, 1), (256, 0),
+                            (256, 1), (0, 0)]], 1),
+], ids=["line", "free2-identity", "lamp-last-word", "caterpillar-leaf"])
+def test_labels_are_exact_where_trailing_zero_bytes_are_dropped(G, keys,
+                                                                steps):
+    frame = array_frame(G, keys, steps)
+    rows = np.concatenate([frame._rows(frame.spawn(k, 1)) for k in keys])
+    labels = [frame.labels(frame.spawn(k, 1))[0] for k in keys]
+    decoded = frame.decode(rows)
+    assert decoded == keys
+    # some rows do end in zero bytes, and their labels are shorter
+    width = rows.shape[1] * rows.itemsize
+    assert min(map(len, labels)) < width
+    for k1, l1 in zip(decoded, labels):
+        for k2, l2 in zip(decoded, labels):
+            assert (l1 == l2) == (k1 == k2)
+
+
+def test_a_lamp_position_foreign_to_the_base_is_refused():
+    o = IntPoint((0,))
+    G = lamplighter(path_graph(2), direct_product(line_graph(), line_graph()),
+                    o)
+    # the lamp sits at a line point, not at a product vertex
+    center = LampKey(PairKey(o, o), [(IntPoint((3,)), IntPoint((1,)))])
+    for R in (1, 3):
+        with pytest.raises(InvalidVertexError):
+            ball(G, center, R)
+    with pytest.raises(InvalidVertexError):
+        walk_series(G, WalkConfig(steps=4, trials=10, start_a=center))
+
+
+def test_free_group_walk_histograms_stay_small():
+    # tracemalloc peak, Python 3.11: 38.6 MB with 200-byte labels (the
+    # zero-padded rows) and a's half histograms held through walk b;
+    # 17.5 MB with labels cut at their trailing zero bytes and the halves
+    # released before walk b (tested below)
+    tracemalloc.start()
+    try:
+        walk_series(free_group_graph(2),
+                    WalkConfig(steps=200, trials=20_000, seed=7),
+                    [50, 100, 200])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
+def test_first_walk_halves_are_released_before_the_second_walk(
+        monkeypatch):
+    run, halves, alive = walks._run_walk, [], []
+
+    def spy(frame, start, cfg, marks, rng, split=False):
+        alive.append(sum(ref() is not None for ref in halves))
+        hists, pairs = run(frame, start, cfg, marks, rng, split)
+        if split:
+            halves.extend(weakref.ref(h) for pair in pairs.values()
+                          for h in pair)
+        return hists, pairs
+
+    monkeypatch.setattr(walks, "_run_walk", spy)
+    walk_series(line_graph(), WalkConfig(steps=4, trials=100), [2, 4])
+    assert len(halves) == 4 and alive == [0, 0]
 
 
 def test_walk_past_int64_coordinates_runs_on_the_object_engine():
