@@ -97,20 +97,6 @@ def _write_out(args, name, text):
     print(f"wrote {path}")
 
 
-def _write_report(report, args, stem):
-    if args.format == "json":
-        _write_out(args, f"{stem}.json", report.to_json() + "\n")
-    else:
-        _write_out(args, f"{stem}.csv", report.to_csv())
-
-
-def _echo_verdicts(report):
-    for name, v in report.verdicts.items():
-        state = "pass" if v["passed"] else "FAIL"
-        bounds = "".join(f" {k} {v[k]}" for k in ("above", "below") if k in v)
-        print(f"[{state}] {name}: value {fmt_value(v['value'])}{bounds}")
-
-
 def cmd_build_graph(args):
     desc, G = _load_descriptor(args.descriptor)
     budget = _resolve_budget(args)
@@ -132,14 +118,11 @@ def cmd_build_graph(args):
     print(f"end estimate (r={R // 2}, R={R}): {ends}")
     _write_out(args, "ball_edges.txt", edge_list_text(g))
     _write_out(args, "ball_vertices.txt", vertex_table_text(g))
-    report = ExperimentReport(
-        manifest={"command": "build-graph", "descriptor": desc, "radius": R}
-    )
+    report = ExperimentReport(manifest={"descriptor": desc, "radius": R})
     report.add_series("ball_sizes", [(r, n) for r, n, _ in sizes])
     report.add_series("ball_edges", [(r, m) for r, _, m in sizes])
     report.add_series("end_estimate", [(R, ends)])
-    _write_report(report, args, "build_graph")
-    return EXIT_OK
+    return report
 
 
 def _boundary_from_file(path):
@@ -170,7 +153,6 @@ def cmd_solve(args):
         desc, args.radius, args.p, bvals, sol.values, residual, energy) + "\n")
     report = ExperimentReport(
         manifest={
-            "command": "solve",
             "descriptor": desc,
             "radius": args.radius,
             "p": args.p,
@@ -186,8 +168,7 @@ def cmd_solve(args):
         "solution_summary",
         [("residual", residual), ("energy", energy), ("oscillation", osc)],
     )
-    _write_report(report, args, "solve")
-    return EXIT_OK
+    return report
 
 
 def cmd_capacity(args):
@@ -201,7 +182,6 @@ def cmd_capacity(args):
           f"{fmt_value(cap)}")
     report = ExperimentReport(
         manifest={
-            "command": "capacity",
             "descriptor": desc,
             "r": args.inner,
             "R": args.radius,
@@ -214,8 +194,7 @@ def cmd_capacity(args):
         }
     )
     report.add_series("capacity", [(args.radius, cap)])
-    _write_report(report, args, "capacity")
-    return EXIT_OK
+    return report
 
 
 def cmd_isoprofile(args):
@@ -233,7 +212,6 @@ def cmd_isoprofile(args):
     profile = iso_profile(G, family)
     report = ExperimentReport(
         manifest={
-            "command": "isoprofile",
             "descriptor": desc,
             "d_list": d_list,
             "rmax": args.rmax,
@@ -259,10 +237,9 @@ def cmd_isoprofile(args):
     report.add_series("growth", [
         ("exponent", est.exponent), ("ci_low", est.ci_low),
         ("ci_high", est.ci_high), ("superpolynomial", est.superpolynomial)])
-    _write_out(args, "isoprofile.csv",
+    _write_out(args, "isoprofile_sets.csv",
                csv_text(["set_size", "boundary_size", "d", "ratio"], rows))
-    _write_report(report, args, "isoprofile")
-    return EXIT_OK
+    return report
 
 
 def _read_edge_list(path):
@@ -318,6 +295,24 @@ def cmd_spanline(args):
     return EXIT_OK
 
 
+def liouville_contrast(report, walks, marks, budget=None):
+    """The paired-walk Liouville contrast: walk_series at checkpoints
+    `marks` for each (G, cfg) of `walks`, printed and recorded in
+    `report` as the graph_a and graph_b series, and the verdict
+    tv_decay_beats_baseline that the first walk's TV falls by more than
+    its split-half baseline does. Returns the WalkSeries."""
+    series = [walk_series(G, cfg, marks, budget=budget) for G, cfg in walks]
+    for label, ser in zip(("graph_a", "graph_b"), series):
+        print(f"{label} ({ser.graph}):")
+        for t, tv, base in zip(ser.checkpoints, ser.tv, ser.baseline):
+            print(f"  steps {t}: tv {fmt_value(tv)} baseline {fmt_value(base)}")
+        report.add_series(f"{label}_tv", list(zip(ser.checkpoints, ser.tv)))
+        report.add_series(f"{label}_baseline",
+                          list(zip(ser.checkpoints, ser.baseline)))
+    report.add_verdict("tv_decay_beats_baseline", series[0].margin, above=0)
+    return series
+
+
 def cmd_liouville(args):
     # the TV verdict compares the first and last of distinct checkpoints
     if args.steps < 2:
@@ -325,18 +320,10 @@ def cmd_liouville(args):
     desc_a, GA = _load_descriptor(args.descriptor_a)
     desc_b, GB = _load_descriptor(args.descriptor_b)
     budget = _resolve_budget(args)
-    cfg = WalkConfig(
-        steps=args.steps,
-        trials=args.trials,
-        laziness=args.laziness,
-        seed=args.seed,
-    )
-    T = args.steps
-    marks = sorted({max(1, T // 4), max(1, T // 2), T})
-    series = [walk_series(G, cfg, marks, budget=budget) for G in (GA, GB)]
+    cfg = WalkConfig(steps=args.steps, trials=args.trials,
+                     laziness=args.laziness, seed=args.seed)
     report = ExperimentReport(
         manifest={
-            "command": "liouville",
             "descriptor_a": desc_a,
             "descriptor_b": desc_b,
             "steps": args.steps,
@@ -350,23 +337,15 @@ def cmd_liouville(args):
             ),
         }
     )
-    for label, ser in zip(("graph_a", "graph_b"), series):
-        print(f"{label} ({ser.graph}):")
-        for t, tv, base in zip(ser.checkpoints, ser.tv, ser.baseline):
-            print(f"  steps {t}: tv {fmt_value(tv)} baseline {fmt_value(base)}")
-        report.add_series(f"{label}_tv", list(zip(ser.checkpoints, ser.tv)))
-        report.add_series(
-            f"{label}_baseline", list(zip(ser.checkpoints, ser.baseline))
-        )
-    report.add_verdict("tv_decay_beats_baseline", series[0].margin, above=0)
+    T = args.steps
+    marks = sorted({max(1, T // 4), max(1, T // 2), T})
+    series = liouville_contrast(report, [(GA, cfg), (GB, cfg)], marks, budget)
     for label, ser in zip("ab", series):
         rows = [(t, tv, base, args.trials) for t, tv, base
                 in zip(ser.checkpoints, ser.tv, ser.baseline)]
         _write_out(args, f"liouville_{label}.csv",
                    csv_text(["steps", "tv", "baseline_tv", "trials"], rows))
-    _echo_verdicts(report)
-    _write_report(report, args, "liouville")
-    return EXIT_OK if report.all_passed else EXIT_VERDICT
+    return report
 
 
 def _least_drop(pairs):
@@ -374,7 +353,7 @@ def _least_drop(pairs):
     return min(a[1] - b[1] for a, b in zip(pairs, pairs[1:]))
 
 
-def oscillation_suite(seed=42, budget=None):
+def oscillation_suite(budget=None):
     """The `reproduce lamplighter-oscillation` report: fixed-window
     oscillation decay on the lamplighter, the free-group plateau and
     annulus capacities (acceptance criteria 6 and 8)."""
@@ -382,9 +361,6 @@ def oscillation_suite(seed=42, budget=None):
     F = free_group_graph(2)
     report = ExperimentReport(
         manifest={
-            "command": "reproduce",
-            "suite": OSCILLATION_SUITE,
-            "seed": seed,
             "interpretation": (
                 "probe of conditions (3_p)/(4_p): oscillation of harmonic "
                 "extensions of a sign split, on a fixed inner window as "
@@ -439,14 +415,11 @@ def oscillation_suite(seed=42, budget=None):
     return report
 
 
-def growth_suite(seed=42, budget=None):
+def growth_suite(budget=None):
     """The `reproduce product-growth` report: growth exponents
     (acceptance criterion 7) and the path closed form."""
     report = ExperimentReport(
         manifest={
-            "command": "reproduce",
-            "suite": GROWTH_SUITE,
-            "seed": seed,
             "interpretation": (
                 "growth-dimension hypothesis behind the product "
                 "construction, plus solver closed-form checks"
@@ -496,10 +469,7 @@ SUITES = {OSCILLATION_SUITE: oscillation_suite, GROWTH_SUITE: growth_suite}
 
 
 def cmd_reproduce(args):
-    report = SUITES[args.suite](args.seed, _resolve_budget(args))
-    _echo_verdicts(report)
-    _write_report(report, args, args.suite.replace("-", "_"))
-    return EXIT_OK if report.all_passed else EXIT_VERDICT
+    return SUITES[args.suite](_resolve_budget(args))
 
 
 def _add_common(sub, *, seed=False, tolerance=False, report=True,
@@ -592,7 +562,23 @@ def main(argv=None):
     # argparse exits with 2 on usage errors itself
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        # spanline writes its own file and exits by the search's status
+        if not isinstance(report, ExperimentReport):
+            return report
+        report.manifest["command"] = stem = args.command
+        if args.command == "reproduce":
+            report.manifest.update(suite=args.suite, seed=args.seed)
+            stem = args.suite
+        for name, v in report.verdicts.items():
+            state = "pass" if v["passed"] else "FAIL"
+            bounds = "".join(f" {k} {v[k]}" for k in ("above", "below")
+                             if k in v)
+            print(f"[{state}] {name}: value {fmt_value(v['value'])}{bounds}")
+        text = (report.to_json() + "\n" if args.format == "json"
+                else report.to_csv())
+        _write_out(args, f"{stem.replace('-', '_')}.{args.format}", text)
+        return EXIT_OK if report.all_passed else EXIT_VERDICT
     except DescriptorError as e:
         print(json.dumps({"error": "descriptor", "detail": str(e)}),
               file=sys.stderr)

@@ -363,15 +363,20 @@ _COORD_LIMIT = 2**62
 def array_frame(G, starts, steps):
     """G's WalkFrame for vertices within `steps` moves of `starts`, or
     None where G has no walk_encoding, a row would exceed
-    ARRAY_ROW_BYTES_CAP, or a coordinate could leave int64. The starts
-    must already be vetted as vertices of G."""
+    ARRAY_ROW_BYTES_CAP, a coordinate could leave int64, or a start's
+    row does not decode back to it (a key the frame cannot encode
+    exactly, such as a lamp entry at the root state). The starts must
+    already be vetted as vertices of G."""
     if G.walk_encoding is None:
         return None
     try:
         frame = G.walk_encoding(tuple(starts), steps)
     except OverflowError:
         return None
-    return frame if frame.row_bytes <= ARRAY_ROW_BYTES_CAP else None
+    if frame.row_bytes > ARRAY_ROW_BYTES_CAP or any(
+            frame.decode(frame.ball_rows(s)) != [s] for s in starts):
+        return None
+    return frame
 
 
 class WalkFrame:
@@ -864,16 +869,15 @@ _DENSE_CODES_PER_VERTEX = 4
 
 
 def _array_ball(frame, center, R, budget):
-    """ball on a frame's rows, or None where the frame cannot stand in
-    for the oracle: a center it does not encode exactly, or codes past
-    int64. Each layer expands its rows' codes by every choice: a
-    numbered code is that neighbor, and below radius R the first
-    occurrence of each other code is a vertex of the next layer, numbered
-    in order. So the layers' choices give every vertex's CSR row.
+    """ball on a frame's rows, or None where its codes pass int64. Each
+    layer expands its rows' codes by every choice: a numbered code is
+    that neighbor, and below radius R the first occurrence of each other
+    code is a vertex of the next layer, numbered in order. So the
+    layers' choices give every vertex's CSR row.
     """
-    rows = frame.ball_rows(center)
-    if frame.code_bound >= 2**63 or frame.decode(rows) != [center]:
+    if frame.code_bound >= 2**63:
         return None
+    rows = frame.ball_rows(center)
     codes = np.array([frame.code(center)], dtype=np.int64)
     dense = frame.code_bound <= _DENSE_CODES_PER_VERTEX * budget
     if dense:

@@ -24,9 +24,9 @@ int(u * degree_bound), or on the irregular caterpillar
 neighbors(v)[int(u * deg v)]), so every walker follows the same
 trajectory on either engine. Every other oracle, and walks whose array
 rows would outgrow ARRAY_ROW_BYTES_CAP (a lamplighter walk past 63
-steps on Z^2, or on Z^3 past 11, 12 from one base position) or whose
-coordinates could leave int64, run the object engine (see
-graphs.array_frame).
+steps on Z^2, or on Z^3 past 11, 12 from one base position), whose
+coordinates could leave int64 or whose starts the frame does not encode
+exactly, run the object engine (see graphs.array_frame).
 """
 
 from __future__ import annotations

@@ -16,10 +16,12 @@ it asserts is the homogenization of the boundary split, not the
 geometry of a window that grows with R; the README glossary spells out
 the taxonomy.
 
-The walk criterion compares the TV margin between checkpoints against
-the split-half baseline's own margin, so the verdict is about TV
-sinking toward the estimator's noise floor rather than about raw values
-the estimator cannot resolve at desk scale.
+Criterion 9 runs `cli.liouville_contrast`, the paired-walk experiment
+the `lampharm liouville` command runs, and reads its verdict from the
+report. The verdict compares the TV margin between checkpoints against
+the split-half baseline's own margin, so it is about TV sinking toward
+the estimator's noise floor rather than about raw values the estimator
+cannot resolve at desk scale.
 """
 
 import functools
@@ -37,7 +39,7 @@ from _instances import (
     normal_boundary_values,
     random_connected,
 )
-from lampharm.cli import growth_suite, oscillation_suite
+from lampharm.cli import growth_suite, liouville_contrast, oscillation_suite
 from lampharm.graphs import (
     FiniteGraph,
     caterpillar_graph,
@@ -48,6 +50,7 @@ from lampharm.graphs import (
 )
 from lampharm.keys import IntPoint, LampKey
 from lampharm.potential import DirichletProblem, p_energy, solve_dirichlet
+from lampharm.report import ExperimentReport
 from lampharm.spanning import (
     augment_ball,
     augment_with_line,
@@ -56,7 +59,7 @@ from lampharm.spanning import (
     find_spanning_line,
     gradient_bound_certificate,
 )
-from lampharm.walks import WalkConfig, walk_series
+from lampharm.walks import WalkConfig
 
 
 def _report(num, ok, detail):
@@ -298,13 +301,14 @@ def test_criterion_09_liouville_contrast():
         steps=200, trials=100_000, laziness=0.5, seed=42,
         start_a=G.origin, start_b=flipped,
     )
-    lamp = walk_series(G, cfg_lamp, checkpoints=[50, 100, 200])
     F = free_group_graph(2)
     cfg_free = WalkConfig(steps=200, trials=100_000, laziness=0.5, seed=42)
-    free = walk_series(F, cfg_free, checkpoints=[50, 100, 200])
+    report = ExperimentReport()
+    lamp, free = liouville_contrast(report, [(G, cfg_lamp), (F, cfg_free)],
+                                    [50, 100, 200])
     dt = time.perf_counter() - t0
 
-    decay_ok = lamp.margin > 0
+    decay_ok = report.verdicts["tv_decay_beats_baseline"]["passed"]
     plateau = free.tv[-1]
     plateau_ok = plateau > 0.2
     ok = decay_ok and plateau_ok and dt < 300.0

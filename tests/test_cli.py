@@ -126,9 +126,23 @@ def test_isoprofile_writes_csv(tmp_path, capsys):
         "--d-list", "2", "--rmax", "5", "--out-dir", str(tmp_path),
     ])
     assert code == 0
-    lines = (tmp_path / "isoprofile.csv").read_text().splitlines()
+    lines = (tmp_path / "isoprofile_sets.csv").read_text().splitlines()
     assert lines[0] == "set_size,boundary_size,d,ratio"
     assert len(lines) > 4
+
+
+def test_isoprofile_csv_report_keeps_the_witness_table(tmp_path, capsys):
+    code = main([
+        "isoprofile", "--descriptor", '{"family": "grid", "d": 2}',
+        "--d-list", "2", "--rmax", "5", "--format", "csv",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    table = (tmp_path / "isoprofile_sets.csv").read_text().splitlines()
+    assert table[0] == "set_size,boundary_size,d,ratio"
+    report = (tmp_path / "isoprofile.csv").read_text().splitlines()
+    assert report[0] == "series,parameter,value"
+    assert capsys.readouterr().out.count("wrote ") == 2
 
 
 def test_spanline_star_proved_absent_exits_1(tmp_path, capsys):
@@ -237,6 +251,46 @@ def test_reproduce_rerun_is_byte_identical(tmp_path, capsys, suite, fmt):
 
 
 LINE = '{"family": "line"}'
+FREE = '{"family": "free_group", "rank": 2}'
+
+
+@pytest.mark.parametrize("argv, stem, manifest, code", [
+    (["build-graph", "--descriptor", LINE, "-R", "3"], "build_graph",
+     {"command": "build-graph"}, 0),
+    (["solve", "--descriptor", LINE, "-R", "3"], "solve",
+     {"command": "solve"}, 0),
+    (["capacity", "--descriptor", LINE, "-r", "1", "-R", "4"], "capacity",
+     {"command": "capacity"}, 0),
+    (["isoprofile", "--descriptor", LINE, "--rmax", "4"], "isoprofile",
+     {"command": "isoprofile"}, 0),
+    (["liouville", "--descriptor-a", LAMP, "--descriptor-b", FREE,
+      "--steps", "8", "--trials", "500"], "liouville",
+     {"command": "liouville"}, 0),
+    # a TV that falls less than its baseline: the one verdict fails
+    (["liouville", "--descriptor-a", FREE, "--descriptor-b", LINE,
+      "--steps", "2", "--trials", "50", "--laziness", "0.9", "--seed", "3"],
+     "liouville", {"command": "liouville"}, 1),
+    (["reproduce", "product-growth", "--seed", "7"], "product_growth",
+     {"command": "reproduce", "suite": "product-growth", "seed": 7}, 0),
+    (["reproduce", "lamplighter-oscillation"], "lamplighter_oscillation",
+     {"command": "reproduce", "suite": "lamplighter-oscillation", "seed": 42},
+     0),
+], ids=["build-graph", "solve", "capacity", "isoprofile", "liouville",
+        "liouville-fails", "product-growth", "lamplighter-oscillation"])
+def test_main_publishes_every_report(tmp_path, capsys, argv, stem, manifest,
+                                     code):
+    """main stamps the manifest, writes {stem}.{format} alone and exits by
+    the report's verdicts."""
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        assert main(argv + ["--format", fmt, "--out-dir", str(out)]) == code
+        other = {"json": "csv", "csv": "json"}[fmt]
+        assert (out / f"{stem}.{fmt}").exists()
+        assert not (out / f"{stem}.{other}").exists()
+    rep = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+    assert manifest.items() <= rep["manifest"].items()
+    passed = all(v["passed"] for v in rep["verdicts"].values())
+    assert passed == (code == 0)
 
 
 @pytest.mark.parametrize("argv, text", [

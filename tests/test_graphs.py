@@ -487,6 +487,9 @@ _ARRAY_FAMILIES = [
     (free_group_graph(2), WordKey((1, -2))),
     (free_group_graph(3), None),
     (free_group_graph(3), WordKey((3, -1, 2))),
+    # 254 letters are the most int8 rows hold; 256 take int64 rows
+    (free_group_graph(127), WordKey((-127, 5))),
+    (free_group_graph(128), WordKey((128,))),
     (line_graph(), None),
     (line_graph(), IntPoint((5,))),
     (grid_graph(1), IntPoint((-4,))),
@@ -511,6 +514,9 @@ _ARRAY_FAMILIES = [
 _ARRAY_REACH = {"lamplighter(path(2),grid(2))": 2,
                 "lamplighter(path(2),product(line,line))": 2,
                 "lamplighter(path(2),grid(3))": 0}
+# the largest radius checked, where it is below 6: the oracle ball of
+# radius 2 in a 255-regular tree takes about 20 s
+_CHECKED_RADIUS = {"free(127)": 1, "free(128)": 1}
 
 
 @pytest.mark.parametrize(
@@ -524,7 +530,7 @@ def test_array_ball_matches_oracle_ball(G, center, monkeypatch):
     # the dense code table, then (a zero limit) sorted codes everywhere
     for dense_limit in (graphs._DENSE_CODES_PER_VERTEX, 0):
         monkeypatch.setattr(graphs, "_DENSE_CODES_PER_VERTEX", dense_limit)
-        for R in range(7):
+        for R in range(_CHECKED_RADIUS.get(G.name, 6) + 1):
             _assert_same_ball(G, center, R)
             # the sign split read off the rows equals the one of the keys
             fast = ball(G, center, R)

@@ -313,6 +313,9 @@ def _lamp_at(site):
     (free_group_graph(2), (None, None), 0.0, BATCH_TRIALS + 1, 3),
     (free_group_graph(1), (None, None), 0.0, 3000, 40),
     (free_group_graph(2), (WordKey((2,)), None), 0.0, 3000, 6),
+    # 254 letters are the most int8 rows hold; 256 take int64 rows
+    (free_group_graph(127), (WordKey((-127, 5)), None), 0.5, 3000, 6),
+    (free_group_graph(128), (None, WordKey((128,))), 0.5, 3000, 6),
     # rows of no letters at all: every label is b""
     (free_group_graph(2), (WordKey(()), WordKey(())), 0.5, 5, 0),
     (line_graph(), (IntPoint((-3,)), None), 0.5, 3000, 12),
@@ -334,7 +337,8 @@ def _lamp_at(site):
 ], ids=["lamp-e-delta0-batches", "lamp-out-of-reach", "lamp-far-start-lamp",
         "lamp-eager", "lamp-second-lamp-word", "lamp-second-lamp-word-eager",
         "lamp-root-1", "free2", "free3", "free2-eager-batches",
-        "free1-eager-returns", "free2-eager-returns", "free2-zero-width",
+        "free1-eager-returns", "free2-eager-returns", "free127-int8-rows",
+        "free128-int64-rows", "free2-zero-width",
         "line", "grid2", "grid3-eager", "caterpillar",
         "caterpillar-leaf-eager-batches", "product-line-line",
         "product-grid2-line-eager", "lamp-grid2", "lamp-grid3-e-delta0",
@@ -351,6 +355,26 @@ def test_array_engine_matches_object_engine(G, starts, laziness, trials,
     fast = walk_series(G, cfg, marks)
     slow = walk_series(dataclasses.replace(G, walk_encoding=None), cfg, marks)
     assert fast.checkpoints == slow.checkpoints
+    assert (fast.tv, fast.baseline) == (slow.tv, slow.baseline)
+
+
+def _odd_lamp(state):
+    """A lamp at site 2 in `state`, not the lit one: the frame's bitset
+    would light it, where the oracle reads the root state 0 as off and
+    state 5 as a state of its own."""
+    return LampKey(IntPoint((0,)), [(IntPoint((2,)), IntPoint((state,)))])
+
+
+@pytest.mark.parametrize("starts", [(_odd_lamp(0), None), (None, _odd_lamp(0)),
+                                    (None, _odd_lamp(5))],
+                         ids=["root-state-a", "root-state-b", "state-5-b"])
+def test_engines_agree_from_a_start_the_frame_cannot_encode(starts):
+    G = _lamp_graph()
+    cfg = WalkConfig(steps=6, trials=2000, seed=3, start_a=starts[0],
+                     start_b=starts[1])
+    assert array_frame(G, walks._resolve_starts(G, cfg), 6) is None
+    fast = walk_series(G, cfg, [3, 6])
+    slow = walk_series(dataclasses.replace(G, walk_encoding=None), cfg, [3, 6])
     assert (fast.tv, fast.baseline) == (slow.tv, slow.baseline)
 
 
