@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -128,8 +129,17 @@ def cmd_build_graph(args):
 def _boundary_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
-    pairs = data.items() if isinstance(data, dict) else data
-    return {int(i): float(v) for i, v in pairs}
+    bvals = {}
+    for i, v in data.items() if isinstance(data, dict) else data:
+        # object keys are strings; a float index is refused, not truncated
+        try:
+            i = int(i) if isinstance(data, dict) else operator.index(i)
+        except TypeError:
+            raise ValueError(f"boundary index {i!r} is not an integer")
+        if i in bvals:
+            raise ValueError(f"boundary index {i} is given twice")
+        bvals[i] = float(v)
+    return bvals
 
 
 def cmd_solve(args):

@@ -41,18 +41,16 @@ def _require(desc, key, kind=int):
     if key not in desc:
         raise DescriptorError(f"descriptor {desc!r} is missing '{key}'")
     v = desc[key]
-    if not isinstance(v, kind):
-        raise DescriptorError(
-            f"'{key}' must be {kind.__name__}, got {v!r}"
-        )
+    # JSON's true and false are Python bools, which are ints
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise DescriptorError(f"'{key}' must be {kind.__name__}, got {v!r}")
     return v
 
 
 def _parse_root(value):
-    if isinstance(value, int):
-        return IntPoint((value,))
-    if isinstance(value, (list, tuple)) and all(isinstance(c, int) for c in value):
-        return IntPoint(tuple(value))
+    coords = value if isinstance(value, (list, tuple)) else [value]
+    if all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
+        return IntPoint(tuple(coords))
     raise DescriptorError(f"cannot parse root vertex {value!r}")
 
 

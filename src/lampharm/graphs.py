@@ -75,8 +75,9 @@ class GraphOracle:
     family to neighbors(v)[int(u[j] * deg v)]) and `labels(state)` (one
     bytes label per walker: its row's bytes without their trailing zero
     bytes, equal iff two walkers stand on the same vertex); `ball` uses
-    `ball_rows`, `expand` and `decode` (see WalkFrame). `row_bytes` is
-    the size of one row.
+    `ball_rows`, `expand`, `follow` and `decode` (see WalkFrame). All
+    frames but the free groups' share one step between `move` and
+    `follow`. `row_bytes` is the size of one row.
     """
 
     neighbors: Callable[[VertexKey], list]
@@ -191,7 +192,7 @@ def caterpillar_graph():
 
     return GraphOracle(
         nbrs, IntPoint((0, 0)), degree_bound=3, name="caterpillar",
-        walk_encoding=lambda starts, steps: _CaterpillarFrame(2, starts, steps),
+        walk_encoding=lambda starts, steps: _CaterpillarFrame(starts, steps),
     )
 
 
@@ -382,9 +383,9 @@ def array_frame(G, starts, steps):
 class WalkFrame:
     """Vertices as numpy rows (see GraphOracle.walk_encoding).
 
-    Walks: concrete frames define `row_bytes`, `spawn` and `move`, and
+    Walks: concrete frames define `row_bytes` and `spawn`, and
     `_rows(state)` is a 2-D array whose row i determines walker i's
-    vertex exactly. `spawn` makes C-contiguous arrays, which `move`
+    vertex exactly. `spawn` makes C-contiguous arrays, which a step
     updates through flat views (column c of walker i is element
     i * width + c).
 
@@ -395,11 +396,27 @@ class WalkFrame:
     lacks one); `follow(rows, picks)` the rows of the choices `picks`
     (choice j of row i is i * k + j); and `decode(rows)` the vertex keys.
 
+    A lattice frame states its neighbor step once, as `_step(state,
+    who, choice)` (row who[j] goes in place to neighbor choice[j] in
+    step_fn order), and ball choice j is walk choice `_ball_choice[j]`.
+    `_WordFrame` keeps its own `move` and `follow`: its ball choices (a
+    drop, every append, self-padded where it cancels) are no permutation
+    of its 2r letters, and its walk state holds lengths that rows lack.
+
     Column 0 of a vertex's row is its key's potential.sign_projection:
     the first coordinate (the left factor's on a product), the base
     position's, or a word's first letter (0 for the identity), so the sign
     split reads the rows.
     """
+
+    def move(self, state, who, u):
+        self._step(state, who, (u * len(self._ball_choice)).astype(np.intp))
+
+    def follow(self, rows, picks):
+        row, j = np.divmod(picks, len(self._ball_choice))
+        out = rows[row]
+        self._step(out, np.arange(len(out)), self._ball_choice[j])
+        return out
 
     def labels(self, state):
         # as numpy bytes, tolist() drops each row's trailing zero bytes;
@@ -419,7 +436,7 @@ class WalkFrame:
 
 class _IntFrame(WalkFrame):
     """Walkers on the line or grid(d) as rows of d int64 coordinates.
-    Walk choices follow step_fn, (axis, sign) = divmod(choice, 2); ball
+    Walk choice i moves axis i >> 1 down if i is even, else up; ball
     choices are -e_0..-e_{d-1}, then +e_{d-1}..+e_0. A code is mixed
     radix over the box of the starts +- steps, the last axis fastest."""
 
@@ -430,13 +447,14 @@ class _IntFrame(WalkFrame):
         if max(-min(lo), max(hi)) >= _COORD_LIMIT:
             raise OverflowError(f"coordinates in {lo}..{hi} overflow int64")
         self.row_bytes = 8 * d
-        eye = np.eye(d, dtype=np.int64)
-        self._offsets = np.concatenate([-eye, eye[::-1]])
+        self._ball_choice = np.r_[0:2 * d:2, 2 * d - 1:0:-2]
+        self._sign = np.array([-1, 1] * d)
         sizes = [h - l + 1 for l, h in zip(lo, hi)]
         self._lo, self._sizes, self.code_bound = lo, sizes, math.prod(sizes)
         self._strides = [math.prod(sizes[a + 1:]) for a in range(d)]
         if self.code_bound < 2**63:
-            self._code_steps = self._offsets @ np.array(self._strides)
+            s = np.array(self._strides, dtype=np.int64)
+            self._code_steps = np.concatenate([-s, s[::-1]])
 
     def _box(self, lo, hi):
         return lo, hi
@@ -447,10 +465,9 @@ class _IntFrame(WalkFrame):
     def spawn(self, start, n):
         return np.tile(np.array(self._coords(start), dtype=np.int64), (n, 1))
 
-    def move(self, state, who, u):
+    def _step(self, state, who, choice):
         flat = state.reshape(-1)
-        choice = (u * len(self._offsets)).astype(np.intp)
-        flat[who * state.shape[1] + (choice >> 1)] += 2 * (choice & 1) - 1
+        flat[who * state.shape[1] + (choice >> 1)] += self._sign[choice]
 
     def code(self, key):
         return sum((x - l) * s for x, l, s in
@@ -462,10 +479,6 @@ class _IntFrame(WalkFrame):
 
     def expand(self, rows, codes):
         return (codes[:, None] + self._code_steps).ravel()
-
-    def follow(self, rows, picks):
-        row, choice = np.divmod(picks, len(self._offsets))
-        return rows[row] + self._offsets[choice]
 
     def decode(self, rows):
         return [_raw_point(tuple(r)) for r in rows.tolist()]
@@ -495,32 +508,23 @@ class _CaterpillarFrame(_IntFrame):
     for walks and balls alike; a leaf's one choice is its spine vertex.
     A code is 2 * (n - lo) + t, lo the box's least n."""
 
-    _DN = np.array([-1, 0, 1], dtype=np.int64)
+    def __init__(self, starts, steps):
+        super().__init__(2, starts, steps)
+        self._ball_choice = np.arange(3)
 
     def _box(self, lo, hi):
         return [lo[0], 0], [hi[0], 1]
 
-    def move(self, state, who, u):
+    def _step(self, state, who, choice):
         flat = state.reshape(-1)
-        choice = (u * 3).astype(np.intp)
         at = 2 * who
         spine = flat[at + 1] == 0
-        dn = self._DN[choice]
-        dn *= spine
-        flat[at] += dn
+        flat[at] += (choice - 1) * spine
         flat[at + 1] = spine & (choice == 1)
 
     def expand(self, rows, codes):
         step = np.where(rows[:, 1:] == 0, [-2, 1, 2], [-1, 0, 0])
         return (codes[:, None] + step).ravel()
-
-    def follow(self, rows, picks):
-        row, choice = np.divmod(picks, 3)
-        out = rows[row]
-        spine = out[:, 1] == 0
-        out[:, 0] += self._DN[choice] * spine
-        out[:, 1] = spine & (choice == 1)
-        return out
 
 
 class _LampFrame(WalkFrame):
@@ -546,13 +550,13 @@ class _LampFrame(WalkFrame):
         # too wide a row or code is refused before anything grows with n
         self.row_bytes = base.row_bytes + 8 * -(-(n + len(self._far)) // 64)
         self.code_bound = n << n if n < 63 else 1 << 63
-        # each axis's step in every walk choice and every ball choice
-        c, offs = np.arange(2 * d + 1), base._offsets
-        ball = np.concatenate([offs[:d], 0 * offs[:1], offs[d:]])
-        self._axes = [(a, (c >> 1 == a) * (2 * (c & 1) - 1), ball.T[a].copy(),
-                       lo, z) for a, (lo, z) in enumerate(box)]
+        # each axis's step in every choice; the toggle, 2d, moves none
+        c = np.arange(2 * d + 1)
+        self._axes = [(a, (c >> 1 == a) * (2 * (c & 1) - 1), lo, z)
+                      for a, (lo, z) in enumerate(box)]
+        self._ball_choice = np.insert(base._ball_choice, d, 2 * d)
         if self.code_bound < 2**63:
-            self._code_steps = ball @ base._strides << n
+            self._code_steps = np.insert(base._code_steps, d, 0) << n
 
     def spawn(self, start, n):
         row = np.zeros(self.row_bytes // 8, dtype=np.int64)
@@ -562,13 +566,12 @@ class _LampFrame(WalkFrame):
             row[self.d + b // 64] ^= np.left_shift(1, b % 64)
         return np.tile(row, (n, 1))
 
-    def move(self, state, who, u):
+    def _step(self, state, who, choice):
         # one read per coordinate serves its move and the toggled site's
-        # base code (Horner form); a mover that does not toggle xors zero
+        # base code (Horner form); a row that does not toggle xors zero
         flat = state.reshape(-1)
-        choice = (u * (2 * self.d + 1)).astype(np.intp)
         at = who * state.shape[1]
-        for a, steps, _, lo, size in self._axes:
+        for a, steps, lo, size in self._axes:
             col = at + a if a else at
             x = flat[col]
             flat[col] = x + steps[choice]
@@ -586,18 +589,6 @@ class _LampFrame(WalkFrame):
         code = codes[:, None] + self._code_steps
         code[:, self.d] ^= np.left_shift(1, codes >> self.n)
         return code.ravel()
-
-    def follow(self, rows, picks):
-        row, choice = np.divmod(picks, 2 * self.d + 1)
-        out = rows[row]
-        for a, _, steps, lo, size in self._axes:
-            x = out[:, a]
-            site = site * size + (x - lo) if a else x - lo
-            x += steps[choice]
-        # every pick xors its lamp word, with a zero mask unless it toggles
-        mask = np.left_shift(1, site & 63) * (choice == self.d)
-        out[np.arange(len(out)), self.d + (site >> 6)] ^= mask
-        return out
 
     def decode(self, rows):
         n, d = self.n, self.d

@@ -302,6 +302,14 @@ def test_main_publishes_every_report(tmp_path, capsys, argv, stem, manifest,
     pytest.param(["solve", "--descriptor", LINE, "-R", "3",
                   "--boundary-file", "{file}"], '{"a": 1}',
                  id="boundary-file-not-an-index"),
+    # indices 7 and 8 are the sphere of the line's B_4
+    pytest.param(["solve", "--descriptor", LINE, "-R", "4",
+                  "--boundary-file", "{file}"], "[[7, 0.0], [8.9, 1.0]]",
+                 id="boundary-file-float-index"),
+    pytest.param(["solve", "--descriptor", LINE, "-R", "4",
+                  "--boundary-file", "{file}"],
+                 "[[7, 0.0], [8, 1.0], [7, 1.0]]",
+                 id="boundary-file-repeated-index"),
     pytest.param(["isoprofile", "--descriptor", LINE, "--d-list", "a"], None,
                  id="d-list-not-a-number"),
     pytest.param(["capacity", "--descriptor", LINE, "-r", "0", "-R", "3"],

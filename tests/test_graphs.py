@@ -365,8 +365,16 @@ _PATH2 = {"family": "path", "n": 2}
       "root": "x"}, f"unknown family 'moebius'; {_KNOWN}"),
     ({"family": "product", "right": {"family": "moebius"}},
      "is missing 'left'"),
+    # JSON's true is a Python int, but no count or coordinate
+    ('{"family": "grid", "d": true}', "'d' must be int, got True"),
+    ({"family": "free_group", "rank": True}, "'rank' must be int, got True"),
+    ({"family": "lamplighter", "lamp": _PATH2, "space": {"family": "line"},
+      "root": True}, "cannot parse root vertex True"),
+    ({"family": "lamplighter", "lamp": _PATH2, "space": {"family": "line"},
+      "root": [0, False]}, "cannot parse root vertex [0, False]"),
 ], ids=["invalid-json", "not-an-object", "unknown", "unhashable-family",
-        "bad-root", "lamp-first", "space-before-root", "left-first"])
+        "bad-root", "lamp-first", "space-before-root", "left-first",
+        "bool-dimension", "bool-rank", "bool-root", "bool-root-coordinate"])
 def test_descriptor_error_messages(desc, message):
     with pytest.raises(DescriptorError) as e:
         parse_descriptor(desc)
@@ -538,6 +546,41 @@ def test_array_ball_matches_oracle_ball(G, center, monkeypatch):
                 R <= _ARRAY_REACH.get(G.name, 6))
             assert (split_values(fast)
                     == split_values(ball(oracle, center, R)))
+
+
+# every frame whose walks and balls share one step, _step
+_SHARED_STEP = [
+    line_graph(), grid_graph(2), grid_graph(3),
+    direct_product(line_graph(), line_graph()),
+    direct_product(line_graph(), grid_graph(2)),
+    caterpillar_graph(),
+    _lamp_grid(line_graph()), _lamp_grid(grid_graph(2)),
+    _lamp_grid(grid_graph(3)),
+    _lamp_grid(direct_product(line_graph(), line_graph())),
+]
+
+
+@pytest.mark.parametrize("G", _SHARED_STEP, ids=lambda G: G.name)
+def test_ball_choices_are_the_walk_choices_in_key_order(G):
+    """Ball choice j is walk choice _ball_choice[j], so the ball choices
+    are the walk choices reordered; where every choice is a neighbor
+    (all but the caterpillar's leaves), following them in order gives
+    the sorted neighbor list. Z2 wr Z^3 balls stop at R = 0 and never
+    follow a choice, so only this test sees that frame's order."""
+    rnd = random.Random(11)
+    v, checked = G.origin, 0
+    for _ in range(8):
+        frame = graphs.array_frame(G, (v,), 1)
+        k = len(frame._ball_choice)
+        assert sorted(frame._ball_choice.tolist()) == list(
+            range(G.degree_bound))
+        nbrs = G.neighbors(v)
+        if len(nbrs) == k:
+            rows = frame.ball_rows(v)
+            assert frame.decode(frame.follow(rows, np.arange(k))) == nbrs
+            checked += 1
+        v = nbrs[rnd.randrange(len(nbrs))]
+    assert checked >= 3
 
 
 @pytest.mark.parametrize("G", [G for G, c in _ARRAY_FAMILIES if c is None],
